@@ -189,21 +189,20 @@ def roots_with_multiplicity(poly, seed=0):
     """All roots of a nonzero PolyFp2 in F_p^2, mapped to multiplicities.
 
     Splits off the rational part with gcd(Y^(p^2) - Y, f), then extracts
-    roots by randomized equal-degree splitting (deterministic given seed).
+    roots by randomized equal-degree splitting (deterministic given seed);
+    a batch of one for ``kernels.fp2_poly_roots``.
     """
     if poly.degree < 0:
         raise DomainError("roots of the zero polynomial are undefined")
     if poly.degree > kernels.MAXD:
         raise DomainError(f"degree {poly.degree} exceeds supported bound {kernels.MAXD}")
     F = poly.field
-    arr = np.zeros((kernels.MAXD + 1, 2), dtype=np.int64)
-    for k, coef in enumerate(poly.coeffs):
-        arr[k, 0] = coef.c0
-        arr[k, 1] = coef.c1
-    roots, mults, count = kernels.fp2_poly_roots(
-        arr, poly.degree, F.p, F.c, seed & 0xFFFFFFFF
+    arr = np.zeros((1, kernels.MAXD + 1, 2), dtype=np.int64)
+    arr[0, :poly.degree + 1] = poly.coeffs
+    roots, mults, counts = kernels.fp2_poly_roots(
+        arr, [poly.degree], F.p, F.c, seed & 0xFFFFFFFF
     )
     return {
-        Fp2Element(int(roots[i, 0]), int(roots[i, 1])): int(mults[i])
-        for i in range(count)
+        Fp2Element(*r): m
+        for r, m in zip(roots[0, :counts[0]].tolist(), mults[0, :counts[0]].tolist())
     }

@@ -117,14 +117,20 @@ class GraphCache:
         )
 
     def load(self, p, ell):
+        """The cached graph for (p, ell), or None if the entry is missing,
+        damaged, stale, or holds another key; the caller rebuilds it."""
         path = self._path(p, ell)
         if not os.path.exists(path):
             return None
         try:
             with open(path) as fh:
-                return graph_from_dict(json.load(fh))
-        except (json.JSONDecodeError, KeyError, DomainError):
-            return None  # stale or damaged entry; rebuild
+                doc = json.load(fh)
+            if doc["p"] != p or doc["ell"] != ell:
+                return None
+            return graph_from_dict(doc)
+        except (KeyError, ValueError, TypeError, AttributeError, IndexError,
+                OverflowError, RecursionError):
+            return None
 
     def store(self, g, stats=None):
         os.makedirs(self.directory, exist_ok=True)

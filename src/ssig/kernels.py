@@ -1,10 +1,17 @@
 """Hot integer kernels: F_p^2 polynomial arithmetic and curve point counts.
 
-Everything here is written as flat int64 loop code so it can be compiled
-with numba's ``@njit``.  Set ``SSIG_BACKEND=python`` to skip compilation
-and run the same code interpreted (with a vectorized numpy path for the
-point-count scan); ``SSIG_BACKEND=numba`` forces compilation and raises
-if numba is missing.  The default is numba when available.
+The scalar kernels are flat int64 loop code so they can be compiled with
+numba's ``@njit``.  Set ``SSIG_BACKEND=python`` to skip compilation,
+``SSIG_BACKEND=numba`` to require it (raising if numba is missing); the
+default is numba when available.
+
+``fp2_poly_roots`` finds the roots of a whole batch of polynomials, and
+``build_graph`` calls it once per BFS layer.  Under numba the rows go
+through the compiled per-polynomial kernel ``_fp2_poly_roots_one`` one
+at a time.  The python backend runs the whole batch through the
+vectorized numpy root finder of ``batched_roots`` instead.  The
+point-count scan also has a numpy path.  Results are identical on both
+backends.
 
 F_p^2 is F_p[t]/(t^2 - c); an element is the int64 pair (c0, c1) meaning
 c0 + c1*t.  A polynomial is an int64 array of shape (deg+1, 2), lowest
@@ -251,8 +258,8 @@ def _lcg(state):
 
 
 @jit
-def fp2_poly_roots(coeffs, deg, p, c, seed):
-    """Roots in F_p^2 of a nonzero polynomial, with multiplicities.
+def _fp2_poly_roots_one(coeffs, deg, p, c, seed):
+    """Roots in F_p^2 of one nonzero polynomial, with multiplicities.
 
     Returns (roots, mults, count) where roots[i] is the (c0, c1) pair of
     the i-th distinct root, for i < count.
@@ -360,6 +367,38 @@ def fp2_poly_roots(coeffs, deg, p, c, seed):
                 break
         mults[i] = m
     return roots, mults, count
+
+
+def _roots_by_row(coeffs, degs, p, c, seed):
+    """``fp2_poly_roots`` through the compiled per-polynomial kernel."""
+    n = len(degs)
+    roots = np.zeros((n, MAXD, 2), np.int64)
+    mults = np.zeros((n, MAXD), np.int64)
+    counts = np.zeros(n, np.int64)
+    for i in range(n):
+        roots[i], mults[i], counts[i] = _fp2_poly_roots_one(
+            coeffs[i], degs[i], p, c, seed)
+    return roots, mults, counts
+
+
+def fp2_poly_roots(coeffs, degs, p, c, seed):
+    """Roots in F_p^2 of a batch of nonzero polynomials, with multiplicities.
+
+    ``coeffs`` has shape (N, MAXD + 1, 2), row i holding a polynomial of
+    degree ``degs[i]`` lowest degree first; coefficients above the degree
+    are ignored.  Returns (roots, mults, counts): for i < N and k <
+    counts[i], roots[i, k] is the (c0, c1) pair of a distinct root of row
+    i and mults[i, k] its multiplicity.  Rows of degree <= 0 have no roots.
+    """
+    coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
+    degs = np.asarray(degs, dtype=np.int64)
+    if BACKEND == "numba":
+        return _roots_by_row(coeffs, degs, p, c, seed)
+    # imported on first use, so that commands which build no graph do not
+    # pay for compiling it
+    from . import batched_roots
+
+    return batched_roots.find_roots(coeffs, degs, p, c, seed)
 
 
 @jit

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .arith import DomainError, Fp2, Fp2Element, PolyFp2, is_prime
+from .arith import DomainError, Fp2, Fp2Element, is_prime
 from .brandt import BrandtMatrix, TheoremViolation, trace_formula, vertex_count
 from ._modpoly_data import MODULAR_POLYNOMIALS
 
@@ -96,57 +96,81 @@ def _check_graph_prime(p):
         raise DomainError(f"p must be at least 13, got {p}")
 
 
-def _specialize(F, ell, jval, seed_powers=None):
-    """Phi_ell(j, Y) as a PolyFp2 in Y."""
-    table = MODULAR_POLYNOMIALS[ell]
-    deg = ell + 1
-    jpow = [F.one()]
-    for _ in range(deg):
-        jpow.append(F.mul(jpow[-1], jval))
-    coeffs = [F.zero()] * (deg + 1)
-    for (xi, yi), coef in table.items():
-        term = F.mul(F.element(coef % F.p, 0), jpow[xi])
-        coeffs[yi] = F.add(coeffs[yi], term)
-    return PolyFp2(F, coeffs)
+def _modpoly_matrix(ell, p):
+    """Phi_ell mod p as an (ell + 2, ell + 2) matrix indexed [X power, Y power]."""
+    table = np.zeros((ell + 2, ell + 2), dtype=np.int64)
+    for (xi, yi), coef in MODULAR_POLYNOMIALS[ell].items():
+        table[xi, yi] = coef % p
+    return table
+
+
+def _specialize(F, table, jvals):
+    """Phi_ell(j, Y) for every j in ``jvals``, as the (N, MAXD + 1, 2)
+    coefficient array of ``kernels.fp2_poly_roots``: the table of powers
+    j^0 .. j^(ell+1) times the coefficient matrix, reduced term by term."""
+    jpow = []
+    for jval in jvals:
+        powers = [F.one()]
+        for _ in range(len(table) - 1):
+            powers.append(F.mul(powers[-1], jval))
+        jpow.append(powers)
+    jpow = np.array(jpow, dtype=np.int64).reshape(len(jvals), len(table), 2)
+    coeffs = np.zeros((len(jvals), kernels.MAXD + 1, 2), dtype=np.int64)
+    coeffs[:, :len(table)] = (
+        jpow[:, :, None, :] * table[None, :, :, None] % F.p).sum(axis=1) % F.p
+    return coeffs
+
+
+def _neighbor_maps(F, table, jvals, seed):
+    """Root-multiplicity map of Phi_ell(j, Y) for every j in ``jvals``,
+    all found in one batched root-finder call."""
+    ell = len(table) - 2
+    roots, mults, counts = kernels.fp2_poly_roots(
+        _specialize(F, table, jvals), np.full(len(jvals), ell + 1),
+        F.p, F.c, seed & 0xFFFFFFFF)
+    maps = []
+    for jval, rs, ms, k in zip(jvals, roots.tolist(), mults.tolist(), counts.tolist()):
+        row = {Fp2Element(*r): m for r, m in zip(rs[:k], ms[:k])}
+        if sum(row.values()) != ell + 1:
+            raise TheoremViolation(
+                f"out-degree is not {ell + 1} at j={jval} (p={F.p}, ell={ell}); "
+                "contradicts the (ell+1)-regularity of Lambda_p(ell)"
+            )
+        maps.append(row)
+    return maps
 
 
 def neighbors(F, jval, ell, seed=0):
     """Multiset of neighboring j-invariants, as a root-multiplicity map."""
-    from .arith import roots_with_multiplicity
-
-    poly = _specialize(F, ell, jval)
-    mults = roots_with_multiplicity(poly, seed=seed)
-    if sum(mults.values()) != ell + 1:
-        raise TheoremViolation(
-            f"out-degree is not {ell + 1} at j={jval} (p={F.p}, ell={ell}); "
-            "contradicts the (ell+1)-regularity of Lambda_p(ell)"
-        )
-    return mults
+    return _neighbor_maps(F, _modpoly_matrix(ell, F.p), [jval], seed)[0]
 
 
 def build_graph(p, ell, seed=0):
-    """Construct Lambda_p(ell) by BFS and verify all structural theorems."""
+    """Construct Lambda_p(ell) by BFS and verify all structural theorems.
+
+    The BFS runs one layer at a time: the neighbours of every vertex of
+    the frontier come from a single batched root-finder call.
+    """
     _check_graph_prime(p)
     if ell not in SUPPORTED_ELLS:
         raise DomainError(f"ell must be one of {SUPPORTED_ELLS}, got {ell}")
     if p == ell:
         raise DomainError("ell must differ from p")
     F = Fp2(p)
+    table = _modpoly_matrix(ell, p)
     seed_j = find_supersingular_seed(p)
     order = [seed_j]
     index = {seed_j: 0}
     adj_rows = []
-    frontier = 0
-    while frontier < len(order):
-        jval = order[frontier]
-        row = {}
-        for nb, mult in neighbors(F, jval, ell, seed=seed).items():
-            if nb not in index:
-                index[nb] = len(order)
-                order.append(nb)
-            row[index[nb]] = mult
-        adj_rows.append(row)
-        frontier += 1
+    while len(adj_rows) < len(order):
+        for nbrs in _neighbor_maps(F, table, order[len(adj_rows):], seed):
+            row = {}
+            for nb, mult in nbrs.items():
+                if nb not in index:
+                    index[nb] = len(order)
+                    order.append(nb)
+                row[index[nb]] = mult
+            adj_rows.append(row)
 
     n = len(order)
     expected_n = vertex_count(p)

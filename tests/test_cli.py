@@ -6,6 +6,7 @@ from click.testing import CliRunner
 from ssig.brandt import TheoremViolation
 from ssig import cli as cli_module
 from ssig.cli import cli, main
+from ssig.export import GraphCache
 
 
 @pytest.fixture()
@@ -133,6 +134,35 @@ class TestExitCodes:
         assert code == 3
 
 
+def _edit(change):
+    def tamper(text, cache):
+        doc = json.loads(text)
+        change(doc)
+        return json.dumps(doc)
+    return tamper
+
+
+def _other_entry(p, ell):
+    def tamper(text, cache):
+        with open(GraphCache(cache)._path(p, ell)) as fh:
+            return fh.read()
+    return tamper
+
+
+# ways to damage the cache entry of Lambda_37(2) (3 vertices, 4 edges)
+TAMPERS = {
+    "truncated": lambda text, cache: text[: len(text) // 2],
+    "list, not a dict": lambda text, cache: f"[{text}]",
+    "nested too deep to parse": lambda text, cache: "[" * 100000 + "]" * 100000,
+    "malformed j": _edit(lambda d: d["vertices"][0].update(j="garbage")),
+    "j not a string": _edit(lambda d: d["vertices"][0].update(j=5)),
+    "edge index past n": _edit(lambda d: d["edges"][0].update(j=3)),
+    "multiplicity past int64": _edit(lambda d: d["edges"][0].update(m=10**30)),
+    "entry of another ell": _other_entry(37, 3),
+    "entry of another p": _other_entry(61, 2),
+}
+
+
 class TestCacheRobustness:
     def test_damaged_cache_entry_is_rebuilt(self, runner, cache, tmp_path):
         import os
@@ -144,3 +174,20 @@ class TestCacheRobustness:
         out = invoke(runner, "stats", "--p", "109", "--ell", "2",
                      "--cache-dir", cache)
         assert "loops             1" in out
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_entry_is_rebuilt(self, runner, tmp_path, tamper):
+        commands = (["stats", "--p", "37", "--ell", "2"],
+                    ["graph", "--p", "37", "--ell", "2"])
+        fresh = [invoke(runner, *cmd, "--cache-dir", str(tmp_path / "fresh"))
+                 for cmd in commands]
+        cache = str(tmp_path / "cache")
+        for p, ell in ((37, 2), (37, 3), (61, 2)):
+            invoke(runner, "stats", "--p", str(p), "--ell", str(ell), "--cache-dir", cache)
+        path = GraphCache(cache)._path(37, 2)
+        with open(path) as fh:
+            good = fh.read()
+        for cmd, expected in zip(commands, fresh):
+            with open(path, "w") as fh:
+                fh.write(TAMPERS[tamper](good, cache))
+            assert invoke(runner, *cmd, "--cache-dir", cache) == expected

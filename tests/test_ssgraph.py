@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ssig import kernels
+from ssig._modpoly_data import MODULAR_POLYNOMIALS
 from ssig.arith import DomainError, Fp2, Fp2Element
 from ssig.brandt import trace_formula, vertex_count
 from ssig.ssgraph import (
@@ -43,6 +44,25 @@ class TestNeighbors:
         for jval in g.vertices:
             mults = neighbors(F, jval, 3)
             assert sum(mults.values()) == 4
+
+    @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
+    def test_maps_match_scalar_kernel_on_object_specialization(self, graphs, ell):
+        # Phi_ell(j, Y) built with Fp2 objects, roots by the interpreted
+        # per-polynomial kernel
+        F = Fp2(109)
+        scalar = getattr(kernels._fp2_poly_roots_one, "py_func",
+                         kernels._fp2_poly_roots_one)
+        for jval in graphs(109, ell).vertices:
+            coeffs = [F.zero()] * (ell + 2)
+            for (xi, yi), coef in MODULAR_POLYNOMIALS[ell].items():
+                term = F.mul(F.element(coef, 0), F.pow(jval, xi))
+                coeffs[yi] = F.add(coeffs[yi], term)
+            arr = np.zeros((kernels.MAXD + 1, 2), np.int64)
+            arr[:ell + 2] = coeffs
+            roots, mults, count = scalar(arr, ell + 1, F.p, F.c, 0)
+            expected = {Fp2Element(*r): m for r, m in
+                        zip(roots[:count].tolist(), mults[:count].tolist())}
+            assert neighbors(F, jval, ell) == expected
 
     def test_smallest_graph_neighbors(self):
         F = Fp2(13)

@@ -1,0 +1,17 @@
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_compare_exports_finds_no_difference_between_a_tree_and_itself(capsys):
+    tool = load_tool("compare_exports")
+    assert tool.main([str(ROOT), str(ROOT), "--max", "40"]) == 0
+    assert "8 exports compared" in capsys.readouterr().out

@@ -1,0 +1,96 @@
+"""Compare the graph exports of two ssig source trees byte for byte.
+
+    python3 tools/compare_exports.py OLD_SRC NEW_SRC [--max 3000]
+
+OLD_SRC and NEW_SRC are ssig checkouts (or their ``src`` directories).
+Each tree runs in its own subprocess, the two side by side, and writes
+``ssig graph --format json`` for every prime p = 1 mod 12 below ``--max``
+and every ell in {2, 3, 5, 7}, building each graph into a fresh cache.
+Prints one line per export that differs or fails, then a summary; exits
+1 if any export differs or fails, else 0.
+"""
+
+import argparse
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ELLS = (2, 3, 5, 7)
+
+
+def cases(p_max):
+    def is_prime(n):
+        return n > 1 and all(n % k for k in range(2, int(n**0.5) + 1))
+
+    return [(p, ell) for p in range(13, p_max, 12) if is_prime(p) for ell in ELLS]
+
+
+def package_dir(tree):
+    tree = Path(tree).resolve()
+    for candidate in (tree / "src", tree):
+        if (candidate / "ssig" / "__init__.py").is_file():
+            return candidate
+    raise SystemExit(f"error: no ssig package under {tree}")
+
+
+def worker(src, out, p_max):
+    """Export every case into ``out``; a failed export leaves an exit code."""
+    sys.path.insert(0, src)
+    from ssig.cli import main as ssig
+
+    with tempfile.TemporaryDirectory() as cache:
+        for p, ell in cases(p_max):
+            target = Path(out) / f"p{p}_ell{ell}.json"
+            rc = ssig(["graph", "--p", str(p), "--ell", str(ell),
+                       "--cache-dir", cache, "--out", str(target)])
+            if rc != 0:
+                target.write_text(f"exit {rc}\n")
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--worker"]:
+        _, src, out, p_max = argv
+        worker(src, out, int(p_max))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("old_src")
+    parser.add_argument("new_src")
+    parser.add_argument("--max", type=int, default=3000, dest="p_max",
+                        help="compare primes below this bound (default 3000)")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        procs = []
+        for name, tree in (("old", args.old_src), ("new", args.new_src)):
+            out = Path(tmp) / name
+            out.mkdir()
+            outs.append(out)
+            procs.append(subprocess.Popen(
+                [sys.executable, __file__, "--worker", str(package_dir(tree)),
+                 str(out), str(args.p_max)]))
+        codes = [proc.wait() for proc in procs]
+        if any(codes):
+            print(f"error: worker exit codes {codes}", file=sys.stderr)
+            return 1
+        todo = cases(args.p_max)
+        bad = 0
+        for p, ell in todo:
+            old, new = (out / f"p{p}_ell{ell}.json" for out in outs)
+            old_bytes, new_bytes = old.read_bytes(), new.read_bytes()
+            if old_bytes.startswith(b"exit") or new_bytes.startswith(b"exit"):
+                print(f"p={p} ell={ell}: failed (old {old_bytes[:8]!r}, "
+                      f"new {new_bytes[:8]!r})")
+                bad += 1
+            elif old_bytes != new_bytes:
+                print(f"p={p} ell={ell}: exports differ")
+                bad += 1
+    print(f"{len(todo)} exports compared (p = 1 mod 12 below {args.p_max}, "
+          f"ell in {ELLS}): {bad} differ or fail")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
