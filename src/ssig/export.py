@@ -7,7 +7,8 @@ import tempfile
 import numpy as np
 
 from .arith import DomainError, Fp2, Fp2Element
-from .ssgraph import IsogenyGraph
+from .brandt import TheoremViolation
+from .ssgraph import IsogenyGraph, check_structure
 
 EXPORT_VERSION = 1
 
@@ -58,21 +59,20 @@ def graph_from_dict(doc):
     F = Fp2(p)
     if F.c != doc["c"]:
         raise DomainError("field nonresidue in file disagrees with construction")
-    vertices = [_parse_j(v["j"]) for v in sorted(doc["vertices"], key=lambda v: v["index"])]
+    records = doc["vertices"]
+    if [v["index"] for v in records] != list(range(len(records))):
+        raise DomainError("vertex records are not indexed 0..n-1 in order")
+    vertices = [_parse_j(v["j"]) for v in records]
     n = len(vertices)
     adjacency = np.zeros((n, n), dtype=np.int64)
     for e in doc["edges"]:
         i, k, m = e["i"], e["j"], e["m"]
+        if not (0 <= i <= k < n and m > 0):
+            raise DomainError(f"edge {e} is not 0 <= i <= j < n with m > 0")
         adjacency[i, k] = m
         adjacency[k, i] = m
-    return IsogenyGraph(
-        p=p,
-        ell=doc["ell"],
-        field=F,
-        vertices=vertices,
-        adjacency=adjacency,
-        index={jv: i for i, jv in enumerate(vertices)},
-    )
+    return IsogenyGraph(p=p, ell=doc["ell"], field=F, vertices=vertices,
+                        adjacency=adjacency)
 
 
 def to_dot(g, overlay=None):
@@ -118,7 +118,8 @@ class GraphCache:
 
     def load(self, p, ell):
         """The cached graph for (p, ell), or None if the entry is missing,
-        damaged, stale, or holds another key; the caller rebuilds it."""
+        damaged, stale, holds another key, or fails ``check_structure``;
+        the caller rebuilds it."""
         path = self._path(p, ell)
         if not os.path.exists(path):
             return None
@@ -127,14 +128,16 @@ class GraphCache:
                 doc = json.load(fh)
             if doc["p"] != p or doc["ell"] != ell:
                 return None
-            return graph_from_dict(doc)
+            g = graph_from_dict(doc)
+            check_structure(g)
+            return g
         except (KeyError, ValueError, TypeError, AttributeError, IndexError,
-                OverflowError, RecursionError):
+                OverflowError, RecursionError, TheoremViolation):
             return None
 
-    def store(self, g, stats=None):
+    def store(self, g):
         os.makedirs(self.directory, exist_ok=True)
-        doc = graph_to_dict(g, stats)
+        doc = graph_to_dict(g)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:

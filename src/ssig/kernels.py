@@ -428,13 +428,18 @@ def _char_sum_scan(p):
     return -1
 
 
+def _chi_table(p):
+    """x = 0 .. p-1 and the quadratic character chi(x) mod p, as numpy arrays."""
+    x = np.arange(p, dtype=np.int64)
+    chi = np.full(p, -1, dtype=np.int8)
+    chi[x[1:] * x[1:] % p] = 1
+    chi[0] = 0
+    return x, chi
+
+
 def _char_sum_scan_numpy(p):
     """Vectorized fallback for the supersingular seed scan."""
-    x = np.arange(p, dtype=np.int64)
-    chi = np.zeros(p, dtype=np.int8)
-    chi[np.unique(x[1:] * x[1:] % p)] = 1
-    chi[chi == 0] = -1
-    chi[0] = 0
+    x, chi = _chi_table(p)
     x3 = x * x % p * x % p
     j1728 = 1728 % p
     for j in range(1, p):
@@ -465,11 +470,7 @@ def curve_trace_sum(p, a, b):
     """sum_x chi(x^3 + a x + b); the curve has p + 1 + sum points."""
     if BACKEND == "numba":
         return int(_point_count_sum(p, a % p, b % p))
-    x = np.arange(p, dtype=np.int64)
-    chi = np.zeros(p, dtype=np.int8)
-    chi[np.unique(x[1:] * x[1:] % p)] = 1
-    chi[chi == 0] = -1
-    chi[0] = 0
+    x, chi = _chi_table(p)
     return int(chi[(x * x % p * x % p + (a % p) * x + b % p) % p].sum())
 
 

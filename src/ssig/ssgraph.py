@@ -3,11 +3,11 @@
 Vertices are supersingular j-invariants found by BFS from a seed curve;
 edge multiplicities are root multiplicities of the classical modular
 polynomial specialized at a vertex.  The adjacency matrix is the Brandt
-matrix B(ell), and every structural theorem about it is asserted at
-build time.
+matrix B(ell), and ``check_structure`` asserts every structural theorem
+about it, on each graph built and on each graph read from the cache.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,6 @@ class IsogenyGraph:
     field: Fp2
     vertices: list
     adjacency: np.ndarray
-    index: dict = field(repr=False, default=None)
 
     @property
     def n(self):
@@ -173,12 +172,6 @@ def build_graph(p, ell, seed=0):
             adj_rows.append(row)
 
     n = len(order)
-    expected_n = vertex_count(p)
-    if n != expected_n:
-        raise TheoremViolation(
-            f"vertex count {n} differs from the class-number formula value "
-            f"{expected_n} for p={p}"
-        )
     adjacency = np.zeros((n, n), dtype=np.int64)
     for i, row in enumerate(adj_rows):
         for k, mult in row.items():
@@ -186,30 +179,31 @@ def build_graph(p, ell, seed=0):
 
     # canonical vertex order: lexicographic on (c1, c0)
     perm = sorted(range(n), key=lambda i: (order[i].c1, order[i].c0))
-    vertices = [order[i] for i in perm]
-    adjacency = adjacency[np.ix_(perm, perm)]
-    index = {jv: i for i, jv in enumerate(vertices)}
-
-    row_sums = adjacency.sum(axis=1)
-    if not (row_sums == ell + 1).all():
-        raise TheoremViolation(
-            f"row sums are not ell+1={ell + 1} for p={p}; out-degree theorem fails"
-        )
-    if not np.array_equal(adjacency, adjacency.T):
-        raise TheoremViolation(
-            f"adjacency is not symmetric for p={p} = 1 mod 12"
-        )
-    bad = {0, 1728 % p}
-    for jv in vertices:
-        if jv.c1 == 0 and jv.c0 in bad:
-            raise TheoremViolation(
-                f"vertex j={jv.c0} appeared although p={p} = 1 mod 12"
-            )
-    g = IsogenyGraph(p=p, ell=ell, field=F, vertices=vertices,
-                     adjacency=adjacency, index=index)
-    if g.trace() != trace_formula(p, ell):
-        raise TheoremViolation(
-            f"graph loop count {g.trace()} disagrees with the trace formula "
-            f"for p={p}, ell={ell}"
-        )
+    g = IsogenyGraph(p=p, ell=ell, field=F, vertices=[order[i] for i in perm],
+                     adjacency=adjacency[np.ix_(perm, perm)])
+    check_structure(g)
     return g
+
+
+def check_structure(g):
+    """Raise ``TheoremViolation`` unless ``g`` is a well-formed Lambda_p(ell).
+
+    Every graph passes here, whether just built or read from the cache.
+    """
+    p, ell, A = g.p, g.ell, g.adjacency
+    keys = [(jv.c1, jv.c0) for jv in g.vertices]
+    n_formula, trace = vertex_count(p), trace_formula(p, ell)
+    checks = (
+        (g.n == n_formula, f"vertex count {g.n} != class-number formula {n_formula}"),
+        (all(0 <= c < p for key in keys for c in key),
+         "a vertex coordinate lies outside [0, p)"),
+        (all(a < b for a, b in zip(keys, keys[1:])),
+         "vertices are not strictly increasing in (c1, c0) order"),
+        ((A.sum(axis=1) == ell + 1).all(), f"row sums are not ell+1 = {ell + 1}"),
+        (np.array_equal(A, A.T), "adjacency is not symmetric"),
+        ((0, 0) not in keys and (0, 1728 % p) not in keys, "a vertex is j = 0 or 1728"),
+        (g.trace() == trace, f"loop count {g.trace()} != trace formula {trace}"),
+    )
+    for ok, what in checks:
+        if not ok:
+            raise TheoremViolation(f"p={p}, ell={ell}: {what}")

@@ -1,12 +1,15 @@
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ssig.arith import is_prime
 from ssig.brandt import TheoremViolation
 from ssig import cli as cli_module
 from ssig.cli import cli, main
 from ssig.export import GraphCache
+from ssig.ssgraph import SUPPORTED_ELLS
 
 
 @pytest.fixture()
@@ -142,6 +145,14 @@ def _edit(change):
     return tamper
 
 
+def _replace_graph(js, edges):
+    """Another graph on vertices ``js``; edges (i, j) of multiplicity 1."""
+    def change(doc):
+        doc["vertices"] = [{"index": i, "j": j} for i, j in enumerate(js)]
+        doc["edges"] = [{"i": i, "j": k, "m": 1} for i, k in edges]
+    return _edit(change)
+
+
 def _other_entry(p, ell):
     def tamper(text, cache):
         with open(GraphCache(cache)._path(p, ell)) as fh:
@@ -149,7 +160,8 @@ def _other_entry(p, ell):
     return tamper
 
 
-# ways to damage the cache entry of Lambda_37(2) (3 vertices, 4 edges)
+# ways to damage the cache entry of Lambda_37(2): vertices 8+0*t, 3+10*t,
+# 3+27*t and edges (i, j, m) = (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 2)
 TAMPERS = {
     "truncated": lambda text, cache: text[: len(text) // 2],
     "list, not a dict": lambda text, cache: f"[{text}]",
@@ -160,6 +172,21 @@ TAMPERS = {
     "multiplicity past int64": _edit(lambda d: d["edges"][0].update(m=10**30)),
     "entry of another ell": _other_entry(37, 3),
     "entry of another p": _other_entry(61, 2),
+    "negative edge index": _edit(lambda d: d["edges"][0].update(i=-1)),
+    "multiplicity one too high": _edit(lambda d: d["edges"][0].update(m=2)),
+    "two vertex indices swapped": _edit(lambda d: (d["vertices"][0].update(index=1),
+                                                   d["vertices"][1].update(index=0))),
+    "coordinate past p": _edit(lambda d: d["vertices"][0].update(j="45+0*t")),
+    "j = 1728": _edit(lambda d: d["vertices"][0].update(j=f"{1728 % 37}+0*t")),
+    "repeated vertex": _edit(lambda d: d["vertices"][2].update(j=d["vertices"][1]["j"])),
+    "dropped edge": _edit(lambda d: d["edges"].pop()),
+    # 3-regular, but with three loops where the trace formula gives one
+    "regular, wrong loop count": _replace_graph(
+        ["8+0*t", "3+10*t", "3+27*t"], [(i, k) for i in range(3) for k in range(i, 3)]),
+    # 3-regular with one loop, but on five vertices where there are three
+    "regular, wrong vertex count": _replace_graph(
+        ["8+0*t", "9+0*t", "10+0*t", "3+10*t", "3+27*t"],
+        [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
 }
 
 
@@ -178,7 +205,8 @@ class TestCacheRobustness:
     @pytest.mark.parametrize("tamper", sorted(TAMPERS))
     def test_tampered_entry_is_rebuilt(self, runner, tmp_path, tamper):
         commands = (["stats", "--p", "37", "--ell", "2"],
-                    ["graph", "--p", "37", "--ell", "2"])
+                    ["graph", "--p", "37", "--ell", "2"],
+                    ["intersect", "--p", "37", "--ell1", "2", "--ell2", "3"])
         fresh = [invoke(runner, *cmd, "--cache-dir", str(tmp_path / "fresh"))
                  for cmd in commands]
         cache = str(tmp_path / "cache")
@@ -191,3 +219,22 @@ class TestCacheRobustness:
             with open(path, "w") as fh:
                 fh.write(TAMPERS[tamper](good, cache))
             assert invoke(runner, *cmd, "--cache-dir", cache) == expected
+
+
+class TestCacheRoundTrip:
+    @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
+    def test_stored_graph_loads_unchanged(self, graphs, tmp_path, ell):
+        # a load check that rejected genuine entries would turn every
+        # cached query into a silent rebuild
+        cache = GraphCache(str(tmp_path))
+        for p in range(13, 400, 12):
+            if not is_prime(p):
+                continue
+            built = graphs(p, ell)
+            cache.store(built)
+            loaded = cache.load(p, ell)
+            assert loaded is not None, (p, ell)
+            assert (loaded.p, loaded.ell) == (p, ell)
+            assert loaded.field == built.field and loaded.field.c == built.field.c
+            assert loaded.vertices == built.vertices
+            assert np.array_equal(loaded.adjacency, built.adjacency)
