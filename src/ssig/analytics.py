@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import DomainError
+from .arith import DomainError, factor
 from .brandt import (
     BrandtMatrix,
     TheoremViolation,
     brandt_coprime_product,
     brandt_prime_power,
+    check_trace_degree,
     trace_formula,
 )
 
@@ -179,6 +180,8 @@ def biroute(g1, g2, R, method="all"):
     p = g1.p
     l1, l2 = g1.ell, g2.ell
     n = g1.n
+    if method in ("hurwitz", "all"):
+        check_trace_degree((l1 * l2) ** R)  # before any route does work
 
     vals = {}
     if method in ("definitional", "all"):
@@ -227,7 +230,10 @@ def biroute(g1, g2, R, method="all"):
 
 
 def _divisors(m):
-    return [d for d in range(1, m + 1) if m % d == 0]
+    divs = [1]
+    for q, e in factor(m):
+        divs = [d * q**k for d in divs for k in range(e + 1)]
+    return divs
 
 
 def biroute_bound(ell1, ell2, R):

@@ -77,6 +77,26 @@ def kronecker(a, n):
     return result if n == 1 else 0
 
 
+def factor(n):
+    """Prime factorisation [(q, e), ...] of n >= 1, q increasing, by trial
+    division up to the square root of what is left."""
+    if n < 1:
+        raise DomainError(f"factor requires n >= 1, got {n}")
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out.append((q, e))
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 class Fp2Element(NamedTuple):
     """c0 + c1*t with t^2 = c, coefficients reduced into [0, p)."""
 

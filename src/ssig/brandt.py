@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import DomainError, is_prime
-from .classnum import hurwitz_modified
+from .arith import DomainError, factor, is_prime
+from .classnum import HURWITZ_D_LIMIT, hurwitz_modified
 
 ENTRY_LIMIT = 1 << 40  # row sums above this risk int64 trouble downstream
 
@@ -22,7 +22,11 @@ class TheoremViolation(AssertionError):
 
 def sigma_coprime(m, p):
     """sum of divisors d of m with gcd(d, p) = 1 (the row sum of B(m))."""
-    return sum(d for d in range(1, m + 1) if m % d == 0 and math.gcd(d, p) == 1)
+    total = 1
+    for q, e in factor(m):
+        if p % q:
+            total *= (q ** (e + 1) - 1) // (q - 1)
+    return total
 
 
 class BrandtMatrix:
@@ -102,6 +106,15 @@ def brandt_coprime_product(a, b):
     )
 
 
+def check_trace_degree(m):
+    """Raise DomainError unless trace_formula(p, m) is within HURWITZ_D_LIMIT."""
+    if 4 * m > HURWITZ_D_LIMIT:
+        raise DomainError(
+            f"trace formula needs 4m <= HURWITZ_D_LIMIT = {HURWITZ_D_LIMIT} "
+            f"(m <= {HURWITZ_D_LIMIT // 4}), got m={m}"
+        )
+
+
 def trace_formula(p, m):
     """Tr(B(m)) = sum over s^2 <= 4m of H_p(4m - s^2), as an integer.
 
@@ -111,6 +124,7 @@ def trace_formula(p, m):
         raise DomainError(f"p must be a prime >= 5, got {p}")
     if m < 1 or m % p == 0:
         raise DomainError(f"m must be a positive integer coprime to p, got m={m}")
+    check_trace_degree(m)
     total = Fraction(0)
     smax = math.isqrt(4 * m)
     for s in range(-smax, smax + 1):

@@ -31,6 +31,16 @@ PROPERTY_NAMES = {
 }
 
 
+def _echo(message, nl=True, err=False):
+    """click.echo to the current sys.stdout or sys.stderr, passed explicitly.
+
+    Without a file, click caches the stream it resolves per sys.stdout
+    object, and for a StringIO that cache entry keeps the stream alive, so
+    every in-process call under redirect_stdout would leak its output.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 @click.group()
 def cli():
     """Supersingular isogeny graph toolkit."""
@@ -84,7 +94,7 @@ def graph(p, ell, ell2, fmt, out, cache_dir, seed):
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        _echo(text, nl=False)
 
 
 @cli.command()
@@ -98,7 +108,7 @@ def stats(p, ell, as_json, cache_dir, seed):
     g = _load_or_build(p, ell, cache_dir, seed)
     s = graph_stats(g)
     if as_json:
-        click.echo(json.dumps({
+        _echo(json.dumps({
             "p": s.p, "ell": s.ell, "n": s.n, "loops": s.loop_count,
             "multi_edge_pairs": s.multi_edge_pair_count,
             "redundant_edges": s.redundant_edges,
@@ -106,14 +116,14 @@ def stats(p, ell, as_json, cache_dir, seed):
             "trace_l": s.trace_l, "trace_l2": s.trace_l2,
         }, sort_keys=True))
         return
-    click.echo(f"p = {s.p}, ell = {s.ell}")
-    click.echo(f"vertices          {s.n}")
-    click.echo(f"loops             {s.loop_count}")
-    click.echo(f"multi-edge pairs  {s.multi_edge_pair_count}")
-    click.echo(f"redundant edges   {s.redundant_edges}")
-    click.echo(f"simple            {'yes' if s.is_simple else 'no'}")
-    click.echo(f"Tr B(ell)         {s.trace_l}")
-    click.echo(f"Tr B(ell^2)       {s.trace_l2}")
+    _echo(f"p = {s.p}, ell = {s.ell}")
+    _echo(f"vertices          {s.n}")
+    _echo(f"loops             {s.loop_count}")
+    _echo(f"multi-edge pairs  {s.multi_edge_pair_count}")
+    _echo(f"redundant edges   {s.redundant_edges}")
+    _echo(f"simple            {'yes' if s.is_simple else 'no'}")
+    _echo(f"Tr B(ell)         {s.trace_l}")
+    _echo(f"Tr B(ell^2)       {s.trace_l2}")
 
 
 @cli.command()
@@ -121,7 +131,7 @@ def stats(p, ell, as_json, cache_dir, seed):
 @click.option("--m", "m", type=int, required=True)
 def trace(p, m):
     """Tr(B(m)) via the Hurwitz class-number formula."""
-    click.echo(str(trace_formula(p, m)))
+    _echo(str(trace_formula(p, m)))
 
 
 @cli.command("hurwitz")
@@ -130,7 +140,7 @@ def trace(p, m):
 def hurwitz_cmd(d, p):
     """H(D), or H_p(D) when --p is given, as a reduced fraction."""
     value = hurwitz(d) if p is None else hurwitz_modified(d, p)
-    click.echo(f"{value.numerator}/{value.denominator}")
+    _echo(f"{value.numerator}/{value.denominator}")
 
 
 @cli.command()
@@ -146,7 +156,7 @@ def congruence(prop_name, ell, ell2, undirected):
     for prop in props:
         cs = derive_congruences(prop)
         label = ",".join(str(e) for e in prop.ells)
-        click.echo(f"{prop.kind}(ell={label}): p = "
+        _echo(f"{prop.kind}(ell={label}): p = "
                    + ", ".join(str(r) for r in cs.residues)
                    + f" mod {cs.modulus}"
                    + f"  (exact for p > {cs.valid_above} coprime to the modulus)")
@@ -165,7 +175,7 @@ def find_prime(prop_name, ells, ell2, undirected, start, cap):
     """First prime whose graph(s) satisfy the property (exact traces)."""
     all_ells = list(ells) + ([ell2] if ell2 is not None else [])
     props = _properties(prop_name, all_ells, undirected)
-    click.echo(str(find_first_prime(props, start=start, cap=cap)))
+    _echo(str(find_first_prime(props, start=start, cap=cap)))
 
 
 @cli.command("biroute")
@@ -182,11 +192,11 @@ def biroute_cmd(p, ell1, ell2, r, method, cache_dir, seed):
     g1 = _load_or_build(p, ell1, cache_dir, seed)
     g2 = _load_or_build(p, ell2, cache_dir, seed)
     rep = biroute(g1, g2, r, method=method)
-    click.echo(f"I_{p}({ell1},{ell2},{r}) = {rep.value_hurwitz}")
-    click.echo(f"  definitional {rep.value_definitional}")
-    click.echo(f"  telescoped   {rep.value_telescoped}")
-    click.echo(f"  hurwitz      {rep.value_hurwitz}")
-    click.echo(f"  upper bound  {rep.upper_bound}")
+    _echo(f"I_{p}({ell1},{ell2},{r}) = {rep.value_hurwitz}")
+    _echo(f"  definitional {rep.value_definitional}")
+    _echo(f"  telescoped   {rep.value_telescoped}")
+    _echo(f"  hurwitz      {rep.value_hurwitz}")
+    _echo(f"  upper bound  {rep.upper_bound}")
 
 
 @cli.command()
@@ -199,8 +209,8 @@ def intersect(p, ell1, ell2, cache_dir, seed):
     """Intersection number and edit distance of two graphs."""
     g1 = _load_or_build(p, ell1, cache_dir, seed)
     g2 = _load_or_build(p, ell2, cache_dir, seed)
-    click.echo(f"intersection {intersection_number(g1, g2)}")
-    click.echo(f"edit-distance {edit_distance(g1, g2)}")
+    _echo(f"intersection {intersection_number(g1, g2)}")
+    _echo(f"edit-distance {edit_distance(g1, g2)}")
 
 
 def _verify_one(p, ell, cache_dir, seed):
@@ -229,7 +239,7 @@ def _verify_one(p, ell, cache_dir, seed):
 def verify(p, ell, cache_dir, seed):
     """Run the full invariant suite for one graph."""
     _verify_one(p, ell, cache_dir, seed)
-    click.echo(f"p={p} ell={ell}: all invariants hold")
+    _echo(f"p={p} ell={ell}: all invariants hold")
 
 
 @cli.command()
@@ -259,20 +269,20 @@ def sweep(pmax, ells, out, cache_dir, seed):
         if out:
             writer_target.close()
     if out:
-        click.echo(f"{len(rows)} graph(s) verified; ledger written to {out}")
+        _echo(f"{len(rows)} graph(s) verified; ledger written to {out}")
 
 
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
     except TheoremViolation as exc:
-        click.echo(f"theorem violation: {exc}", err=True)
+        _echo(f"theorem violation: {exc}", err=True)
         return 3
     except DomainError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return 2
     except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        _echo(f"error: {exc.format_message()}", err=True)
         return 2
     except click.exceptions.Exit as exc:
         return exc.exit_code

@@ -108,6 +108,16 @@ class TestBiroute:
         with pytest.raises(DomainError):
             biroute(g2, g3, 2, method="guess")
 
+    def test_trace_limit_is_checked_before_any_route(self, graphs, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a route ran before the trace-degree check")
+
+        monkeypatch.setattr("ssig.analytics._cyclic_counts", unreachable)
+        g5, g7 = graphs(109, 5), graphs(109, 7)
+        for R in (4, 5):
+            with pytest.raises(DomainError, match="HURWITZ_D_LIMIT"):
+                biroute(g5, g7, R)
+
 
 def divisor_tail_sum(l1, l2, r, s):
     """sum of divisors of l1^r l2^s above the square root of the product."""
@@ -136,6 +146,14 @@ class TestBirouteBounds:
             l1 ** (r + 1) * l2 ** (s + 1) - l2 ** (s + 1), (l1 - 1) * (l2 - 1)
         ) - Fraction(r + 1, l2 - 1) * root
         assert lhs <= rhs
+
+    @pytest.mark.parametrize("ells", [(2, 3), (2, 7), (3, 5), (5, 7)])
+    def test_matches_divisor_loop(self, ells):
+        l1, l2 = ells
+        for R in (1, 2, 3):
+            tails = sum(divisor_tail_sum(l1, l2, r, s) for r, s in
+                        ((R, R), (R - 1, R), (R, R - 1), (R - 1, R - 1)))
+            assert biroute_bound(l1, l2, R) == (l1 * l2) ** (R // 2) + 2 * tails
 
     def test_growth_rate_approaches_product(self):
         bounds = [biroute_bound_closed(2, 3, R) for R in range(1, 8)]

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +8,7 @@ from ssig.arith import (
     Fp2,
     Fp2Element,
     PolyFp2,
+    factor,
     is_prime,
     kronecker,
     roots_with_multiplicity,
@@ -37,6 +40,24 @@ class TestIsPrime:
             is_prime(-1)
         with pytest.raises(DomainError):
             is_prime(1 << 63)
+
+
+class TestFactor:
+    def test_products_of_increasing_primes(self):
+        for n in range(1, 3000):
+            fs = factor(n)
+            assert math.prod(q**e for q, e in fs) == n
+            assert [q for q, _ in fs] == sorted({q for q, _ in fs})
+            assert all(trial_division(q) and e >= 1 for q, e in fs)
+
+    def test_prime_powers(self):
+        assert factor(35**5) == [(5, 5), (7, 5)]
+        assert factor(2**40 * 3) == [(2, 40), (3, 1)]
+        assert factor(2**31 - 1) == [(2**31 - 1, 1)]
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            factor(0)
 
 
 class TestKronecker:

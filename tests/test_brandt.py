@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from ssig.arith import DomainError
+from ssig.classnum import HURWITZ_D_LIMIT
 from ssig.brandt import (
     BrandtMatrix,
     TheoremViolation,
@@ -19,6 +22,13 @@ class TestSigmaCoprime:
         assert sigma_coprime(6, 5) == 12
         assert sigma_coprime(6, 3) == 3  # only 1 and 2 are coprime to 3
         assert sigma_coprime(8, 109) == 15
+
+    def test_matches_divisor_loop(self):
+        for m in range(1, 400):
+            for p in (2, 3, 5, 6, 7, 109):
+                assert sigma_coprime(m, p) == sum(
+                    d for d in range(1, m + 1) if m % d == 0 and math.gcd(d, p) == 1
+                ), (m, p)
 
     def test_row_sums_of_prime_powers(self, graphs):
         g = graphs(109, 2)
@@ -66,6 +76,8 @@ class TestTraceFormula:
             trace_formula(109, 0)
         with pytest.raises(DomainError):
             trace_formula(109, 109)
+        with pytest.raises(DomainError, match="HURWITZ_D_LIMIT"):
+            trace_formula(109, HURWITZ_D_LIMIT // 4 + 1)
 
 
 @pytest.mark.parametrize("p", [109, 193, 433, 1009])

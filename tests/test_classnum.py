@@ -1,10 +1,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ssig.arith import DomainError
+from ssig.arith import DomainError, kronecker
 from ssig.classnum import (
+    HURWITZ_D_LIMIT,
+    _isqrt_array,
     class_number,
     decompose,
     hurwitz,
@@ -96,6 +99,45 @@ class TestHurwitz:
         with pytest.raises(DomainError):
             hurwitz(-1)
 
+    def test_limit(self):
+        assert hurwitz(HURWITZ_D_LIMIT) == hurwitz_by_class_numbers(HURWITZ_D_LIMIT)
+        for D in (HURWITZ_D_LIMIT + 1, 10**12):
+            with pytest.raises(DomainError, match="HURWITZ_D_LIMIT"):
+                hurwitz(D)
+
+
+def test_isqrt_array_is_exact_where_floats_round():
+    # near 9e18 a float64 cannot tell k^2 - 1 from k^2
+    k = 3_000_000_000
+    xs = [0, 1, 2, 3, 4, 99, 100, k * k - 1, k * k, k * k + 1, (k + 1) ** 2 - 1]
+    roots = _isqrt_array(np.array(xs, dtype=np.int64))
+    assert roots.tolist() == [math.isqrt(x) for x in xs]
+
+
+def hurwitz_by_class_numbers(D):
+    """H(D) as the sum of h(d)/u(d) over orders d f^2 = -D, by the
+    brute-force class_number."""
+    total = Fraction(0)
+    f = 1
+    while f * f <= D:
+        if D % (f * f) == 0 and (-D // (f * f)) % 4 in (0, 1):
+            d = -D // (f * f)
+            total += Fraction(class_number(d), unit_factor(d))
+        f += 1
+    return total
+
+
+class TestHurwitzOracle:
+    def test_every_small_discriminant(self):
+        for D in range(1, 5001):
+            assert hurwitz(D) == hurwitz_by_class_numbers(D), D
+
+    def test_trace_discriminants_at_35_cubed(self):
+        # D = 4m - s^2 for m = 35^3, the largest trace the benchmark runs
+        for s in range(0, math.isqrt(171500) + 1, 16):
+            D = 171500 - s * s
+            assert hurwitz(D) == hurwitz_by_class_numbers(D), D
+
 
 def sigma(m):
     return sum(d for d in range(1, m + 1) if m % d == 0)
@@ -152,6 +194,24 @@ class TestHurwitzModified:
         for D in range(1, 200):
             for p in (5, 13, 109):
                 assert 0 <= hurwitz_modified(D, p) <= hurwitz(D)
+
+    def test_matches_branches_of_the_decomposition(self):
+        # the branch formula on -D = d_fund f^2, as in the definition
+        def by_decomposition(D, p):
+            if D == 0:
+                return Fraction(p - 1, 24)
+            if D % 4 in (1, 2):
+                return Fraction(0)
+            d_fund, f = decompose(D)
+            if f % p == 0:
+                return hurwitz(D // (p * p))
+            return {1: Fraction(0), -1: hurwitz(D), 0: hurwitz(D) / 2}[
+                kronecker(d_fund, p)
+            ]
+
+        for p in (5, 7, 11, 13, 37, 109):
+            for D in range(6000):
+                assert hurwitz_modified(D, p) == by_decomposition(D, p), (D, p)
 
     def test_domain(self):
         with pytest.raises(DomainError):

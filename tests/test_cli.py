@@ -1,4 +1,9 @@
+import contextlib
+import gc
+import io
 import json
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -126,6 +131,33 @@ class TestExitCodes:
 
     def test_user_error_usage(self):
         assert main(["trace", "--p", "109"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["hurwitz", "--d", "1000000000000"],
+        ["trace", "--p", "109", "--m", "1000001"],
+        ["biroute", "--p", "109", "--ell1", "5", "--ell2", "7", "--r", "4"],
+        ["biroute", "--p", "109", "--ell1", "5", "--ell2", "7", "--r", "5"],
+    ])
+    def test_inputs_past_the_hurwitz_limit_exit_2_at_once(self, argv, tmp_path, capsys):
+        start = time.process_time()
+        assert main(argv + (["--cache-dir", str(tmp_path)] if argv[0] == "biroute"
+                            else [])) == 2
+        assert time.process_time() - start < 5
+        assert "HURWITZ_D_LIMIT" in capsys.readouterr().err
+
+    def test_output_streams_are_released(self):
+        # click.echo without a file caches each sys.stdout it sees, and a
+        # cached StringIO is never freed
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["trace", "--p", "109", "--m", "9"]) == 0
+            assert main(["trace", "--p", "109", "--m", "0"]) == 2
+        assert out.getvalue() == "17\n"
+        assert err.getvalue().startswith("error: ")
+        refs = [weakref.ref(out), weakref.ref(err)]
+        del out, err
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
     def test_theorem_violation(self, monkeypatch, tmp_path):
         def broken(p, ell, seed=0):
