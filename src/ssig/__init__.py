@@ -19,6 +19,7 @@ from .brandt import (
     BrandtMatrix,
     TheoremViolation,
     brandt_coprime_product,
+    brandt_powers,
     brandt_prime_power,
     sigma_coprime,
     trace_formula,
@@ -73,6 +74,7 @@ __all__ = [
     "biroute_bound",
     "biroute_bound_closed",
     "brandt_coprime_product",
+    "brandt_powers",
     "brandt_prime_power",
     "build_graph",
     "class_number",

@@ -8,18 +8,22 @@ agree exactly.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from .arith import DomainError, factor
 from .brandt import (
-    BrandtMatrix,
     TheoremViolation,
-    brandt_coprime_product,
+    brandt_powers,
     brandt_prime_power,
     check_trace_degree,
     trace_formula,
 )
+
+# Bytes the matrix routes of biroute may hold: each keeps 2 (R+1) dense
+# n x n int64 Brandt powers.  n = 2501 (p = 30013) fits up to R = 4.
+BIROUTE_BYTES_LIMIT = 1 << 29
 
 
 @dataclass
@@ -50,14 +54,29 @@ class GraphStats:
 
 @dataclass
 class BirouteReport:
+    """Bi-route values by route; a route that did not run holds None."""
     p: int
     ell1: int
     ell2: int
     R: int
-    value_definitional: int
-    value_telescoped: int
-    value_hurwitz: int
+    value_definitional: Optional[int]
+    value_telescoped: Optional[int]
+    value_hurwitz: Optional[int]
     upper_bound: int
+
+    def routes(self):
+        """(name, value) for each route that ran, in a fixed order."""
+        named = (
+            ("definitional", self.value_definitional),
+            ("telescoped", self.value_telescoped),
+            ("hurwitz", self.value_hurwitz),
+        )
+        return [(name, v) for name, v in named if v is not None]
+
+    @property
+    def value(self):
+        """The bi-route number, on which every route that ran agrees."""
+        return self.routes()[0][1]
 
 
 def graph_stats(g):
@@ -143,22 +162,14 @@ def edit_distance(g1, g2):
     return value
 
 
-def _mixed_brandt(g1, g2, a, b):
-    """B(ell1^a * ell2^b) from the two adjacency matrices."""
-    m1 = brandt_prime_power(g1.brandt(), a)
-    m2 = brandt_prime_power(g2.brandt(), b)
-    return brandt_coprime_product(m1, m2)
-
-
 def _cyclic_counts(g, amax):
     """C(ell^a) matrices for a = 1..amax: B(ell^a) - B(ell^(a-2))."""
-    base = g.brandt()
-    powers = [brandt_prime_power(base, a) for a in range(amax + 1)]
-    out = []
-    for a in range(1, amax + 1):
-        prev = powers[a - 2].entries if a >= 2 else 0
-        out.append(powers[a].entries - prev)
-    return out
+    powers = [m.entries for m in brandt_powers(g.brandt(), amax)]
+    # in place from the top, so powers[a - 2] is still B(ell^(a-2)) when
+    # read; powers[1] is the graph's own adjacency and is never written
+    for a in range(amax, 1, -1):
+        powers[a] -= powers[a - 2]
+    return powers[1:]
 
 
 def biroute(g1, g2, R, method="all"):
@@ -166,9 +177,15 @@ def biroute(g1, g2, R, method="all"):
 
     definitional: counts pairs of backtracking-free path classes directly
     from the cyclic-isogeny matrices C(ell^a).
-    telescoped: the trace expression in the mixed Brandt matrices.
+    telescoped: the trace expression in the mixed Brandt matrices
+    B(ell1^a ell2^b) = B(ell1^a) B(ell2^b).  Both factors are symmetric,
+    so each trace is the entrywise sum of B(ell1^a) * B(ell2^b).
     hurwitz: the same expression with every trace from the class-number
     formula (no matrices involved).
+
+    Each matrix route computes its own Brandt powers.  Inputs for which a
+    matrix route would hold more than BIROUTE_BYTES_LIMIT bytes of them
+    are rejected before any route runs.
     """
     _check_pair(g1, g2)
     if g1.ell == g2.ell:
@@ -182,6 +199,12 @@ def biroute(g1, g2, R, method="all"):
     n = g1.n
     if method in ("hurwitz", "all"):
         check_trace_degree((l1 * l2) ** R)  # before any route does work
+    held = 2 * (R + 1) * n * n * 8
+    if method != "hurwitz" and held > BIROUTE_BYTES_LIMIT:
+        raise DomainError(
+            f"matrix routes would hold {held} bytes of Brandt powers (n={n}, "
+            f"R={R}), above BIROUTE_BYTES_LIMIT = {BIROUTE_BYTES_LIMIT}"
+        )
 
     vals = {}
     if method in ("definitional", "all"):
@@ -193,10 +216,11 @@ def biroute(g1, g2, R, method="all"):
                 total += int((c1[a1] * c2[a2]).sum())
         vals["definitional"] = total
     if method in ("telescoped", "all"):
+        P1 = [m.entries for m in brandt_powers(g1.brandt(), R)]
+        P2 = [m.entries for m in brandt_powers(g2.brandt(), R)]
+
         def tr(a, b):
-            if a == 0 and b == 0:
-                return n
-            return _mixed_brandt(g1, g2, a, b).trace()
+            return int((P1[a] * P2[b]).sum())
 
         vals["telescoped"] = (
             tr(R, R) + tr(R - 1, R) + tr(R, R - 1) + tr(R - 1, R - 1)
@@ -215,16 +239,15 @@ def biroute(g1, g2, R, method="all"):
         raise TheoremViolation(
             f"bi-route routes disagree for p={p}, ({l1},{l2}), R={R}: {vals}"
         )
-    value = next(iter(vals.values()))
     lo, hi = sorted((l1, l2))
     return BirouteReport(
         p=p,
         ell1=l1,
         ell2=l2,
         R=R,
-        value_definitional=vals.get("definitional", value),
-        value_telescoped=vals.get("telescoped", value),
-        value_hurwitz=vals.get("hurwitz", value),
+        value_definitional=vals.get("definitional"),
+        value_telescoped=vals.get("telescoped"),
+        value_hurwitz=vals.get("hurwitz"),
         upper_bound=biroute_bound(lo, hi, R),
     )
 

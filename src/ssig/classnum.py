@@ -173,8 +173,9 @@ def hurwitz_modified(D, p):
     """Modified Hurwitz class number H_p(D).
 
     Zero if p splits in the order of discriminant -D, H(D) if inert,
-    H(D)/2 if ramified (p not dividing the conductor), and H(D/p^2)
-    when p divides the conductor.  H_p(0) = (p-1)/24.
+    H(D)/2 if ramified (p not dividing the conductor), and H_p(D/p^2)
+    when p divides the conductor (Gross, Heights and special values of
+    L-series, 1987, section 1).  H_p(0) = (p-1)/24.
     """
     if p < 5 or not _is_prime_cached(p):
         raise DomainError(f"hurwitz_modified requires a prime p >= 5, got {p}")
@@ -187,7 +188,7 @@ def hurwitz_modified(D, p):
     # -D = d_fund f^2 with d_fund squarefree away from 2, so for odd p:
     # p | f exactly when p^2 | D, and otherwise (d_fund|p) = (-D|p).
     if D % (p * p) == 0:
-        return hurwitz(D // (p * p))
+        return hurwitz_modified(D // (p * p), p)
     sym = kronecker(-D, p)
     if sym == 1:
         return Fraction(0)

@@ -192,10 +192,9 @@ def biroute_cmd(p, ell1, ell2, r, method, cache_dir, seed):
     g1 = _load_or_build(p, ell1, cache_dir, seed)
     g2 = _load_or_build(p, ell2, cache_dir, seed)
     rep = biroute(g1, g2, r, method=method)
-    _echo(f"I_{p}({ell1},{ell2},{r}) = {rep.value_hurwitz}")
-    _echo(f"  definitional {rep.value_definitional}")
-    _echo(f"  telescoped   {rep.value_telescoped}")
-    _echo(f"  hurwitz      {rep.value_hurwitz}")
+    _echo(f"I_{p}({ell1},{ell2},{r}) = {rep.value}")
+    for name, value in rep.routes():
+        _echo(f"  {name:<12} {value}")
     _echo(f"  upper bound  {rep.upper_bound}")
 
 

@@ -16,6 +16,15 @@ from .classnum import decompose
 
 PROPERTY_KINDS = ("noLoops", "noMultiEdges", "simple", "noCommonEdges")
 
+# Largest working modulus derive_congruences walks.  The walk takes time
+# linear in the modulus, and _minimize_modulus more, so a larger modulus
+# is refused rather than left to run for hours.  For ell in {2, 3, 5, 7},
+# 20 of the 36 inputs have moduli of at most 48,360; the other 16 start
+# at 7,759,752 (no-multi-edges at ell = 5).  For prime ell below 60 the
+# only modulus in between is 114,036 (no-loops at ell = 13, under 2 s),
+# so the limit admits it; the next one up is 2,516,360.
+CONGRUENCE_M_LIMIT = 2 * 10**5
+
 
 @dataclass(frozen=True)
 class GraphProperty:
@@ -72,7 +81,9 @@ def derive_congruences(prop):
     The symbol (d|p) depends only on p modulo the fundamental part of d,
     so the working modulus is the lcm of those conductors (and 12 when the
     graphs must be undirected); the result is then reduced to the smallest
-    divisor that still describes the same residue set.
+    divisor that still describes the same residue set.  A working modulus
+    above CONGRUENCE_M_LIMIT is a DomainError, raised before any residue
+    is walked.
     """
     discs = discriminant_set(prop)
     conductors = []
@@ -82,6 +93,11 @@ def derive_congruences(prop):
     modulus = 12 if prop.undirected else 1
     for c in conductors:
         modulus = math.lcm(modulus, c)
+    if modulus > CONGRUENCE_M_LIMIT:
+        raise DomainError(
+            f"congruence classes need working modulus <= CONGRUENCE_M_LIMIT = "
+            f"{CONGRUENCE_M_LIMIT}, got {modulus}"
+        )
     funds = [decompose(-d)[0] for d in discs]
     residues = []
     for r in range(1, modulus):

@@ -23,12 +23,12 @@ def _parse_j(text):
 
 
 def graph_to_dict(g, stats=None):
-    edges = []
-    for i in range(g.n):
-        for k in range(i, g.n):
-            m = int(g.adjacency[i, k])
-            if m:
-                edges.append({"i": i, "j": k, "m": m})
+    upper = np.triu(g.adjacency)
+    rows, cols = np.nonzero(upper)  # row-major: by i, then by j >= i
+    edges = [
+        {"i": i, "j": k, "m": m}
+        for i, k, m in zip(rows.tolist(), cols.tolist(), upper[rows, cols].tolist())
+    ]
     doc = {
         "version": EXPORT_VERSION,
         "p": g.p,

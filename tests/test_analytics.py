@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ssig.analytics import (
+    BIROUTE_BYTES_LIMIT,
     biroute,
     biroute_bound,
     biroute_bound_closed,
@@ -98,6 +99,41 @@ class TestBiroute:
     def test_single_method(self, graphs):
         rep = biroute(graphs(109, 2), graphs(109, 3), 2, method="hurwitz")
         assert rep.value_hurwitz == 136
+
+    @pytest.mark.parametrize("method", ["definitional", "telescoped", "hurwitz"])
+    def test_routes_not_run_hold_none(self, graphs, method):
+        rep = biroute(graphs(109, 2), graphs(109, 3), 2, method=method)
+        assert rep.routes() == [(method, 136)]
+        assert rep.value == 136
+        for name in ("definitional", "telescoped", "hurwitz"):
+            got = getattr(rep, f"value_{name}")
+            assert got == (136 if name == method else None)
+
+    def test_large_prime(self, graphs):
+        g2, g3 = graphs(10009, 2), graphs(10009, 3)
+        rep = biroute(g2, g3, 3)
+        assert rep.value_definitional == rep.value_telescoped == rep.value_hurwitz
+        assert rep.value <= rep.upper_bound
+        assert graph_stats(g2).trace_l2 == trace_formula(10009, 4)
+
+    def test_byte_limit_admits_p30013_up_to_r3(self):
+        n = 2501  # vertex count at p = 30013
+        assert 2 * (3 + 1) * n * n * 8 <= BIROUTE_BYTES_LIMIT
+        assert 2 * (5 + 1) * n * n * 8 > BIROUTE_BYTES_LIMIT
+
+    def test_byte_limit_is_checked_before_any_route(self, graphs, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a matrix route ran before the byte-limit check")
+
+        monkeypatch.setattr("ssig.analytics._cyclic_counts", unreachable)
+        monkeypatch.setattr("ssig.analytics.brandt_powers", unreachable)
+        g2, g3 = graphs(109, 2), graphs(109, 3)
+        held = 2 * (2 + 1) * 9 * 9 * 8
+        monkeypatch.setattr("ssig.analytics.BIROUTE_BYTES_LIMIT", held - 1)
+        for method in ("definitional", "telescoped", "all"):
+            with pytest.raises(DomainError, match="BIROUTE_BYTES_LIMIT"):
+                biroute(g2, g3, 2, method=method)
+        assert biroute(g2, g3, 2, method="hurwitz").value == 136
 
     def test_domain(self, graphs):
         g2, g3 = graphs(109, 2), graphs(109, 3)

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ssig.arith import DomainError
+from ssig.arith import DomainError, is_prime
 from ssig.classnum import HURWITZ_D_LIMIT
 from ssig.brandt import (
     BrandtMatrix,
     TheoremViolation,
     brandt_coprime_product,
+    brandt_powers,
     brandt_prime_power,
     identity_matrix,
     sigma_coprime,
@@ -64,6 +65,20 @@ class TestTraceFormula:
         assert trace_formula(193, 2) == 0
         assert trace_formula(1009, 2) == 0
         assert trace_formula(1009, 4) == 84
+
+    def test_single_vertex_prime(self):
+        # p = 13 has one supersingular j, with ell + 1 loops, so
+        # Tr B(ell^k) = sigma(ell^k).  Each of these m has terms with
+        # 13^2 | 4m - s^2, where H_13 must recurse on (4m - s^2) / 13^2
+        for ell, k in ((2, 12), (3, 8), (5, 6), (7, 4), (7, 6)):
+            assert trace_formula(13, ell**k) == sigma_coprime(ell**k, 13)
+
+    def test_two_levels_of_p_in_the_conductor(self, graphs):
+        # 4 * 9261 - 9^2 = 37^2 * 27, so the term is H_37(27), which is 0
+        # because 37 splits in Q(sqrt(-3)); the matrices give the reference
+        a = brandt_prime_power(graphs(37, 3).brandt(), 3)
+        b = brandt_prime_power(graphs(37, 7).brandt(), 3)
+        assert trace_formula(37, 9261) == brandt_coprime_product(a, b).trace()
 
     def test_degree_one_gives_vertex_count(self):
         for p in (13, 37, 109, 193, 433, 1009):
@@ -136,3 +151,40 @@ class TestBrandtMatrixAlgebra:
             brandt_prime_power(base, -1)
         with pytest.raises(DomainError):
             brandt_prime_power(base, 99)  # entries would leave int64 range
+
+
+def dense_powers(A, ell, k):
+    """B(ell^0..k) by the dense recurrence B(ell^j) = B(ell^(j-1)) A - ell B(ell^(j-2))."""
+    out = [np.eye(len(A), dtype=np.int64), A]
+    for _ in range(k - 1):
+        out.append(out[-1] @ A - ell * out[-2])
+    return out[: k + 1]
+
+
+class TestGatherRecurrence:
+    @pytest.mark.parametrize("ell", [2, 3, 5, 7])
+    def test_matches_dense_products_and_trace_formula(self, graphs, ell):
+        for p in range(13, 400, 12):
+            if not is_prime(p):
+                continue
+            base = graphs(p, ell).brandt()
+            powers = brandt_powers(base, 4)
+            want = dense_powers(base.entries, ell, 4)
+            assert len(powers) == 5
+            for k, (got, dense) in enumerate(zip(powers, want)):
+                assert got.degree == ell**k
+                assert np.array_equal(got.entries, dense), (p, ell, k)
+                assert got.trace() == trace_formula(p, ell**k), (p, ell, k)
+            assert brandt_prime_power(base, 4) == powers[-1]
+
+    def test_rejects_irregular_base(self, graphs):
+        A = graphs(109, 2).brandt().entries.copy()
+        A[0, 0] += 1
+        with pytest.raises(DomainError, match="sum to 3"):
+            brandt_powers(BrandtMatrix(2, A), 2)
+
+    def test_rejects_asymmetric_base(self):
+        # rows sum to 3, but the matrix is not symmetric
+        A = np.array([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+        with pytest.raises(DomainError, match="symmetric"):
+            brandt_powers(BrandtMatrix(2, A), 2)

@@ -186,6 +186,12 @@ class TestHurwitzModified:
         # -300 = -3 * 10^2 and p = 5 gives H(12)
         assert hurwitz_modified(300, 5) == hurwitz(12)
 
+    def test_conductor_branch_recurses(self):
+        # -275 = -11 * 5^2 and 5 splits in Q(sqrt(-11)): H_5(275) = H_5(11) = 0
+        assert hurwitz_modified(275, 5) == 0 != hurwitz(11)
+        # -7 * 13^4 = -7 * (13^2)^2, and 13 is inert in Q(sqrt(-7))
+        assert hurwitz_modified(7 * 13**4, 13) == hurwitz(7) == 1
+
     def test_vanishes_off_discriminants(self):
         for D in (1, 2, 5, 6):
             assert hurwitz_modified(D, 13) == 0
@@ -204,7 +210,7 @@ class TestHurwitzModified:
                 return Fraction(0)
             d_fund, f = decompose(D)
             if f % p == 0:
-                return hurwitz(D // (p * p))
+                return by_decomposition(D // (p * p), p)
             return {1: Fraction(0), -1: hurwitz(D), 0: hurwitz(D) / 2}[
                 kronecker(d_fund, p)
             ]

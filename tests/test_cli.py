@@ -145,6 +145,27 @@ class TestExitCodes:
         assert time.process_time() - start < 5
         assert "HURWITZ_D_LIMIT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["congruence", "--property", "no-multi-edges", "--ell", "5"],
+        ["congruence", "--property", "no-common-edges", "--ell", "2", "--ell2", "7",
+         "--undirected"],
+    ])
+    def test_congruence_past_the_modulus_limit_exits_2_at_once(self, argv, capsys):
+        start = time.process_time()
+        assert main(argv) == 2
+        assert time.process_time() - start < 5
+        assert "CONGRUENCE_M_LIMIT" in capsys.readouterr().err
+
+    def test_biroute_prints_only_the_routes_run(self, tmp_path, capsys):
+        argv = ["biroute", "--p", "109", "--ell1", "5", "--ell2", "7", "--r", "4",
+                "--method", "definitional", "--cache-dir", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:2] == ["I_109(5,7,4) = 2999920",
+                                        "  definitional 2999920"]
+        assert "hurwitz" not in out and "telescoped" not in out
+        assert out.splitlines()[-1].startswith("  upper bound  ")
+
     def test_output_streams_are_released(self):
         # click.echo without a file caches each sys.stdout it sees, and a
         # cached StringIO is never freed

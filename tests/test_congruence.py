@@ -4,6 +4,7 @@ import pytest
 
 from ssig.arith import DomainError, is_prime
 from ssig.congruence import (
+    CONGRUENCE_M_LIMIT,
     GraphProperty,
     derive_congruences,
     discriminant_set,
@@ -66,6 +67,24 @@ class TestDeriveCongruences:
         cs = derive_congruences(GraphProperty("noCommonEdges", (2, 3)))
         assert cs.modulus == 2760
         assert cs.residues == NO_COMMON_23_RESIDUES
+
+    @pytest.mark.parametrize("prop", [
+        GraphProperty("noMultiEdges", (5,), False),
+        GraphProperty("noMultiEdges", (5,)),
+        GraphProperty("simple", (7,)),
+        GraphProperty("noCommonEdges", (2, 7)),
+        GraphProperty("noCommonEdges", (3, 5), False),
+        GraphProperty("noCommonEdges", (5, 7)),
+        GraphProperty("noLoops", (11,)),
+    ])
+    def test_modulus_past_the_limit_is_refused(self, prop):
+        with pytest.raises(DomainError, match="CONGRUENCE_M_LIMIT"):
+            derive_congruences(prop)
+
+    def test_largest_known_modulus_below_the_limit_is_derived(self):
+        cs = derive_congruences(GraphProperty("noLoops", (13,), False))
+        assert cs.modulus == 114036 <= CONGRUENCE_M_LIMIT
+        assert cs.residues[:4] == (1, 25, 49, 121)
 
     def test_congruence_matches_trace_predicate(self):
         for prop in (

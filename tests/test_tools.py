@@ -15,3 +15,11 @@ def test_compare_exports_finds_no_difference_between_a_tree_and_itself(capsys):
     tool = load_tool("compare_exports")
     assert tool.main([str(ROOT), str(ROOT), "--max", "40"]) == 0
     assert "8 exports compared" in capsys.readouterr().out
+
+
+def test_compare_exports_queries_find_no_difference_between_a_tree_and_itself(capsys):
+    tool = load_tool("compare_exports")
+    assert tool.main([str(ROOT), str(ROOT), "--max", "40", "--queries"]) == 0
+    out = capsys.readouterr().out
+    assert "8 exports compared" in out
+    assert "16 query outputs compared: 0 differ" in out
