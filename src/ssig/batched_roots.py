@@ -1,13 +1,29 @@
 """Batched numpy root finder over F_p^2: the python backend of
 ``kernels.fp2_poly_roots``.
 
-Cantor-Zassenhaus root finding for a batch of polynomials f.  Its
-powmods, Y^(p^2) and (Y + r)^((p^2 - 1)/2) mod f, have exponents every
-row shares, so each runs once for all rows of one degree: the latter
-once per splitting round, with one random shift r for the batch.  The
-Frobenius map x -> x^p mod f, a matrix per row, halves the squarings of
-both.  Gcds and quotients run per row in Python ints, and multiplicities
-come from batched synthetic division of the undeflated polynomials.
+Every row is made monic, and the roots its caller already knows are
+divided out of it, each once, by one batched synthetic division per
+slot; a division that leaves a remainder raises ``TheoremViolation``.
+``build_graph`` passes the neighbours found in earlier BFS layers, which
+are roots because Phi_ell is symmetric.  What is left, the residual, is
+solved by its degree:
+
+- degree 1 gives its root directly;
+- degree 2 goes through the quadratic formula, with a vectorised square
+  root in F_p^2: a Tonelli-Shanks square root of the norm in F_p, then
+  one more (Cohen, GTM 138, section 1.5).  A discriminant that is not a
+  square in F_p^2 gives no roots;
+- degree >= 3 goes through Cantor-Zassenhaus until every factor has
+  degree <= 2, and its quadratic factors join the quadratic formula.  Its
+  powmods, Y^(p^2) and (Y + r)^((p^2 - 1)/2), run mod the undeflated
+  polynomial f, whose exponents every row shares, so each runs once for
+  all such rows of one degree of f: the latter once per splitting round,
+  with one random shift r for the batch.  The Frobenius map x -> x^p
+  mod f, a matrix per row, halves the squarings of both.  Gcds against
+  the residual and quotients run per row in Python ints.
+
+Multiplicities come from one batched synthetic division pass over the
+undeflated polynomials, for known and new roots alike.
 
 A batch of polynomials is an int64 array of shape (G, d + 1, 2) and a
 batch of residues mod the batch an array of shape (G, d, 2), in the
@@ -18,6 +34,7 @@ p < 2^31.
 
 import numpy as np
 
+from .brandt import TheoremViolation
 from .kernels import MAXD, _lcg
 
 
@@ -32,6 +49,88 @@ def _fp2_mul(a, b, p, c):
     out[..., 0] = real
     out[..., 1] = a0 * b1 % p + a1 * b0 % p
     return out
+
+
+def _fp_pow(a, e, p):
+    """a^e mod p for every entry of an int64 array of reduced values."""
+    res = np.ones_like(a)
+    for bit in bin(e)[2:]:
+        res = res * res % p
+        if bit == "1":
+            res = res * a % p
+    return res
+
+
+def _fp_sqrt(a, p, c):
+    """A square root mod p of every square in the int64 array ``a``, by
+    Tonelli-Shanks with the nonresidue c; an entry that is not a square
+    gets a value whose square is not that entry."""
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> s
+    t = _fp_pow(a, (q - 1) // 2, p)
+    x = t * a % p  # a^((q + 1)/2)
+    b = t * x % p  # a^q, so that x^2 = a b
+    g = pow(c, q, p)  # of order 2^s
+    # while b has order dividing 2^k, multiply x by a power y of g whose
+    # square turns b^(2^(k - 1)) = -1 into 1
+    for k in range(s - 1, 0, -1):
+        e = b
+        for _ in range(k - 1):
+            e = e * e % p
+        y = pow(g, 1 << (s - k - 1), p)
+        flip = e != 1
+        x = np.where(flip, x * y % p, x)
+        b = np.where(flip, b * (y * y % p) % p, b)
+    return x
+
+
+def _fp2_sqrt(a, p, c):
+    """(x, ok) for a batch ``a`` of shape (N, 2): ok marks the squares of
+    F_p^2, and x^2 = a where ok.
+
+    If x = x0 + x1 t squares to a, then x0^2 + c x1^2 = a0, and
+    x0^2 - c x1^2 = +-n for n a square root of the norm a0^2 - c a1^2.
+    So {x0^2, c x1^2} = {(a0 + n)/2, (a0 - n)/2}.  Both pairings are
+    tried, x1 takes the sign that makes 2 x0 x1 = a1, and x^2 = a is
+    checked.
+    """
+    a0, a1 = a[:, 0], a[:, 1]
+    n = _fp_sqrt((a0 * a0 - c * (a1 * a1 % p)) % p, p, c)
+    half, inv_c = (p + 1) // 2, pow(c, p - 2, p)
+    u = (a0 + n) * half % p
+    v = (a0 - n) * half % p
+    r = _fp_sqrt(np.concatenate([u, v, u * inv_c % p, v * inv_c % p]), p, c)
+    r = r.reshape(4, -1)
+    x = np.zeros_like(a)
+    ok = np.zeros(len(a), bool)
+    for x0, x1 in ((r[0], r[3]), (r[1], r[2])):
+        x1 = np.where(x0 * x1 % p * 2 % p == a1, x1, -x1 % p)
+        cand = np.stack([x0, x1], axis=1)
+        good = ~ok & (_fp2_mul(cand, cand, p, c) % p == a).all(axis=1)
+        x[good] = cand[good]
+        ok |= good
+    return x, ok
+
+
+def _quadratic_roots(h, p, c):
+    """(y, ok) for a batch h of monic quadratics Y^2 + h1 Y + h0, shape
+    (N, 3, 2): ok marks the rows with roots in F_p^2, and y[i, 0] and
+    y[i, 1] are the roots of row i (equal for a double root)."""
+    b = h[:, 1]
+    disc = (_fp2_mul(b, b, p, c) - 4 * h[:, 0]) % p
+    s, ok = _fp2_sqrt(disc, p, c)
+    half = (p + 1) // 2
+    return np.stack([(s - b) * half % p, (-s - b) * half % p], axis=1), ok
+
+
+def _divide_linear(h, r, p, c):
+    """(quotient, remainder) of every row of the batch h by Y - r[row]."""
+    quot = np.zeros_like(h)
+    acc = h[:, -1]
+    for k in range(h.shape[1] - 1, 0, -1):
+        quot[:, k - 1] = acc
+        acc = (_fp2_mul(acc, r, p, c) + h[:, k - 1]) % p
+    return quot, acc
 
 
 def _times_y(a, low, p, c):
@@ -137,53 +236,47 @@ def _row_gcd(a, b, p, c):
     return a
 
 
-def find_roots(coeffs, degs, p, c, seed):
-    """``kernels.fp2_poly_roots`` with one numpy powmod per round and row
-    degree.
+def _split_residuals(f, deg, h, rows, p, c, seed):
+    """Cantor-Zassenhaus on the residuals h[rows], all of degree >= 3, until
+    every factor of their rational parts has degree <= 2: returns
+    (owner, root) arrays of the linear factors' roots and (owner, g) of
+    the quadratic factors g, which are left to the quadratic formula.
 
-    Every powmod runs mod the row's own polynomial f: a factor g of f
-    being split takes its (Y + r)^((p^2 - 1)/2) mod g as the remainder
-    mod g of that mod f, so one powmod per row serves all its factors.
+    Every powmod runs mod the row's undeflated f, one group per degree of
+    f: a factor g of the residual being split takes its
+    (Y + r)^((p^2 - 1)/2) mod g as the remainder mod g of that mod f, so
+    one powmod per row serves all its factors.
     """
-    n, width = coeffs.shape[:2]
-    f = coeffs % p
-    f[np.arange(width) > degs[:, None]] = 0
-    by_degree = {}
-    for i, v in enumerate(f.tolist()):
-        v = _row(v)
-        if len(v) > 1:
-            by_degree.setdefault(len(v) - 1, []).append((i, _row_monic(v, p, c)))
-
-    # separable rational part of each row: gcd(Y^(p^2) - Y, f)
+    # separable rational part of each residual: gcd(Y^(p^2) - Y, h)
     factors = {}  # row -> factors of its rational part still to split
-    groups = []  # (rows, modulus tables) per row degree >= 2
-    for d, group in sorted(by_degree.items()):
-        if d == 1:
-            factors.update((i, [g]) for i, g in group)
-            continue
-        low, high, frob = _modulus_tables(np.array([g for _, g in group]), p, c)
+    groups = []  # (rows, modulus tables) per degree of f
+    for d in sorted(set(deg[rows].tolist())):
+        group = rows[deg[rows] == d]
+        low, high, frob = _modulus_tables(f[group, :d + 1], p, c)
         w = _frobenius(frob[:, 1], frob, p, c)
         w[:, 1, 0] -= 1
         w %= p
-        for (i, g), wi in zip(group, w.tolist()):
-            factors[i] = [_row_gcd(_row(wi), g, p, c)]
-        groups.append((np.array([i for i, _ in group]), low, high, frob))
+        for i, wi, hi in zip(group.tolist(), w.tolist(), h[group].tolist()):
+            factors[i] = [_row_gcd(_row(wi), _row(hi), p, c)]
+        groups.append((group, low, high, frob))
 
     # equal-degree splitting, one shared random shift per round
-    roots = [[] for _ in range(n)]
+    roots = {i: [] for i in factors}
+    quadratics = {i: [] for i in factors}
     state = seed % 2147483646 + 1
     while True:
         for i, gs in factors.items():
             roots[i] += [(-g[0][0] % p, -g[0][1] % p) for g in gs if len(g) == 2]
-            factors[i] = [g for g in gs if len(g) > 2]
+            quadratics[i] += [g for g in gs if len(g) == 3]
+            factors[i] = [g for g in gs if len(g) > 3]
         if not any(factors.values()):
             break
         state = _lcg(state)
         r0 = state % p
         state = _lcg(state)
         r1 = state % p
-        for rows, low, high, frob in groups:
-            live = [k for k, i in enumerate(rows.tolist()) if factors[i]]
+        for group, low, high, frob in groups:
+            live = [k for k, i in enumerate(group.tolist()) if factors[i]]
             if not live:
                 continue
             # (Y + r)^((p^2 - 1)/2) = y^(p + 1) with y = (Y + r)^((p - 1)/2)
@@ -191,7 +284,7 @@ def find_roots(coeffs, degs, p, c, seed):
             w = _mulmod(_frobenius(y, frob[live], p, c), y, high[live], p, c)
             w[:, 0, 0] -= 1
             w %= p
-            for i, wi in zip(rows[live].tolist(), w.tolist()):
+            for i, wi in zip(group[live].tolist(), w.tolist()):
                 wi = _row(wi)
                 split = []
                 for g in factors[i]:
@@ -202,27 +295,96 @@ def find_roots(coeffs, degs, p, c, seed):
                         split.append(g)
                 factors[i] = split
 
-    # multiplicities: divide each row by (Y - root) while it divides exactly
-    owner = np.array([i for i in range(n) for _ in roots[i]], np.int64)
-    root = np.array([r for rs in roots for r in rs], np.int64).reshape(-1, 2)
-    h = f[owner, :degs.max(initial=0) + 1]
+    def flat(parts, shape):
+        owner = np.array([i for i, xs in parts.items() for _ in xs], np.int64)
+        return owner, np.array([x for xs in parts.values() for x in xs],
+                               np.int64).reshape((-1,) + shape)
+
+    return flat(roots, (2,)), flat(quadratics, (3, 2))
+
+
+def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
+    """``kernels.fp2_poly_roots``: known roots deflated, residuals of
+    degree <= 2 solved in closed form and the rest by Cantor-Zassenhaus,
+    with one numpy powmod per round and degree."""
+    n, width = coeffs.shape[:2]
+    f = coeffs % p
+    f[np.arange(width) > degs[:, None]] = 0
+    nonzero = f.any(axis=2)
+    deg = np.where(nonzero.any(axis=1),
+                   width - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    f = f[:, :max(deg.max(initial=0), 1) + 1]
+    lead = f[np.arange(n), np.maximum(deg, 0)]
+    lead[deg < 0] = (1, 0)
+    if (lead != (1, 0)).any():
+        # times the inverse of the leading coefficient, conj(a) / N(a)
+        inv = _fp_pow((lead[:, 0] ** 2 - c * (lead[:, 1] ** 2 % p)) % p, p - 2, p)
+        lead = np.stack([lead[:, 0] * inv % p, -lead[:, 1] * inv % p], axis=1)
+        f = _fp2_mul(f, lead[:, None], p, c) % p
+
+    # deflation: divide each known root out once
+    nk = np.zeros(n, np.int64) if known is None else known_counts
+    owners, found = [], []
+    h = f.copy()
+    for k in range(nk.max(initial=0)):
+        rows = np.flatnonzero(nk > k)
+        r = known[rows, k] % p
+        h[rows], rem = _divide_linear(h[rows], r, p, c)
+        bad = np.flatnonzero(rem.any(axis=1))
+        if len(bad):
+            i = bad[0]
+            raise TheoremViolation(
+                f"known root {tuple(r[i].tolist())} of row {rows[i]} leaves "
+                f"the remainder {tuple(rem[i].tolist())}")
+        owners.append(rows)
+        found.append(r)
+
+    # the residual, by its degree
+    e = deg - nk
+    linear = np.flatnonzero(e == 1)
+    owners.append(linear)
+    found.append(-h[linear, 0] % p)
+    quadratic = np.flatnonzero(e == 2)
+    quad_owners, quads = [quadratic], [h[quadratic, :3].reshape(-1, 3, 2)]
+    higher = np.flatnonzero(e >= 3)
+    if len(higher):
+        (rows, r), (quad_rows, g) = _split_residuals(f, deg, h, higher, p, c, seed)
+        owners.append(rows)
+        found.append(r)
+        quad_owners.append(quad_rows)
+        quads.append(g)
+    quadratic = np.concatenate(quad_owners)
+    if len(quadratic):
+        y, ok = _quadratic_roots(np.concatenate(quads), p, c)
+        owners.append(np.repeat(quadratic[ok], 2))
+        found.append(y[ok].reshape(-1, 2))
+
+    # distinct roots, by row: a new root may repeat a known one, and a
+    # double root of a quadratic appears twice
+    owner, root = np.concatenate(owners), np.concatenate(found)
+    order = np.lexsort((root[:, 0] * p + root[:, 1], owner))
+    owner, root = owner[order], root[order]
+    keep = np.ones(len(owner), bool)
+    keep[1:] = (owner[1:] != owner[:-1]) | (root[1:] != root[:-1]).any(axis=1)
+    owner, root = owner[keep], root[keep]
+
+    # multiplicities: divide the undeflated row by (Y - root) while it
+    # divides exactly
+    h = f[owner]
     mult = np.zeros(len(owner), np.int64)
     live = np.arange(len(owner))
-    while len(live):
-        hl, rl = h[live], root[live]
-        quot = np.zeros_like(hl)
-        acc = hl[:, -1]
-        for k in range(h.shape[1] - 1, 0, -1):
-            quot[:, k - 1] = acc
-            acc = (_fp2_mul(acc, rl, p, c) + hl[:, k - 1]) % p
-        exact = ~acc.any(axis=1)
+    for _ in range(f.shape[1] - 1):
+        quot, rem = _divide_linear(h[live], root[live], p, c)
+        exact = ~rem.any(axis=1)
         live = live[exact]
+        if not len(live):
+            break
         h[live] = quot[exact]
         mult[live] += 1
 
     out_roots = np.zeros((n, MAXD, 2), np.int64)
     out_mults = np.zeros((n, MAXD), np.int64)
-    counts = np.array([len(rs) for rs in roots], np.int64)
+    counts = np.bincount(owner, minlength=n).astype(np.int64)
     slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
     out_roots[owner, slot] = root
     out_mults[owner, slot] = mult

@@ -87,10 +87,11 @@ def to_dot(g, overlay=None):
 
     def emit(graph, color=None):
         attr = f' [color={color}]' if color else ""
-        for i in range(graph.n):
-            for k in range(i, graph.n):
-                for _ in range(int(graph.adjacency[i, k])):
-                    lines.append(f"  v{i} -- v{k}{attr};")
+        upper = np.triu(graph.adjacency)
+        rows, cols = np.nonzero(upper)  # row-major: by i, then by k >= i
+        mults = upper[rows, cols]
+        lines.extend(f"  v{i} -- v{k}{attr};" for i, k in zip(
+            np.repeat(rows, mults).tolist(), np.repeat(cols, mults).tolist()))
 
     if overlay is None:
         emit(g)

@@ -6,12 +6,16 @@ numba's ``@njit``.  Set ``SSIG_BACKEND=python`` to skip compilation,
 default is numba when available.
 
 ``fp2_poly_roots`` finds the roots of a whole batch of polynomials, and
-``build_graph`` calls it once per BFS layer.  Under numba the rows go
-through the compiled per-polynomial kernel ``_fp2_poly_roots_one`` one
-at a time.  The python backend runs the whole batch through the
-vectorized numpy root finder of ``batched_roots`` instead.  The
-point-count scan also has a numpy path.  Results are identical on both
-backends.
+``build_graph`` calls it once per BFS layer, passing for every vertex
+the neighbours found in earlier layers as known roots.  Under numba the
+rows go through the compiled per-polynomial kernel
+``_fp2_poly_roots_one`` one at a time, and the known roots are only
+checked against what it finds.  The python backend runs the whole batch
+through the vectorized numpy root finder of ``batched_roots`` instead:
+it divides the known roots out and solves a residual of degree <= 2 in
+closed form, so that only residuals of degree >= 3 need
+Cantor-Zassenhaus.  The point-count scan also has a numpy path.  Results
+are identical on both backends.
 
 F_p^2 is F_p[t]/(t^2 - c); an element is the int64 pair (c0, c1) meaning
 c0 + c1*t.  A polynomial is an int64 array of shape (deg+1, 2), lowest
@@ -381,7 +385,7 @@ def _roots_by_row(coeffs, degs, p, c, seed):
     return roots, mults, counts
 
 
-def fp2_poly_roots(coeffs, degs, p, c, seed):
+def fp2_poly_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     """Roots in F_p^2 of a batch of nonzero polynomials, with multiplicities.
 
     ``coeffs`` has shape (N, MAXD + 1, 2), row i holding a polynomial of
@@ -389,16 +393,33 @@ def fp2_poly_roots(coeffs, degs, p, c, seed):
     are ignored.  Returns (roots, mults, counts): for i < N and k <
     counts[i], roots[i, k] is the (c0, c1) pair of a distinct root of row
     i and mults[i, k] its multiplicity.  Rows of degree <= 0 have no roots.
+
+    ``known``, of shape (N, K, 2), with ``known_counts`` of shape (N,),
+    optionally gives distinct roots the caller already knows:
+    known[i, :known_counts[i]] for row i.  Each must be a root, or
+    ``TheoremViolation`` is raised; they count among the roots returned,
+    with multiplicities taken on the row as given.
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
     degs = np.asarray(degs, dtype=np.int64)
+    if known is not None:
+        known = np.asarray(known, dtype=np.int64)
+        known_counts = np.asarray(known_counts, dtype=np.int64)
     if BACKEND == "numba":
-        return _roots_by_row(coeffs, degs, p, c, seed)
+        roots, mults, counts = _roots_by_row(coeffs, degs, p, c, seed)
+        if known is not None:
+            for i, k in zip(*np.nonzero(np.arange(known.shape[1]) < known_counts[:, None])):
+                if not (roots[i, :counts[i]] == known[i, k] % p).all(axis=1).any():
+                    from .brandt import TheoremViolation
+
+                    raise TheoremViolation(
+                        f"known root {tuple(known[i, k].tolist())} of row {i} is not a root")
+        return roots, mults, counts
     # imported on first use, so that commands which build no graph do not
     # pay for compiling it
     from . import batched_roots
 
-    return batched_roots.find_roots(coeffs, degs, p, c, seed)
+    return batched_roots.find_roots(coeffs, degs, p, c, seed, known, known_counts)
 
 
 @jit

@@ -120,13 +120,23 @@ def _specialize(F, table, jvals):
     return coeffs
 
 
-def _neighbor_maps(F, table, jvals, seed):
+def _neighbor_maps(F, table, jvals, seed, known):
     """Root-multiplicity map of Phi_ell(j, Y) for every j in ``jvals``,
-    all found in one batched root-finder call."""
+    all found in one batched root-finder call.
+
+    ``known[i]`` lists distinct j-invariants already known to be
+    neighbours of ``jvals[i]``; the root finder divides them out first.
+    """
     ell = len(table) - 2
+    n = len(jvals)
+    known_counts = np.array([len(ks) for ks in known], dtype=np.int64)
+    known_roots = np.zeros((n, known_counts.max(initial=0), 2), dtype=np.int64)
+    for i, ks in enumerate(known):
+        if ks:
+            known_roots[i, :len(ks)] = ks
     roots, mults, counts = kernels.fp2_poly_roots(
-        _specialize(F, table, jvals), np.full(len(jvals), ell + 1),
-        F.p, F.c, seed & 0xFFFFFFFF)
+        _specialize(F, table, jvals), np.full(n, ell + 1),
+        F.p, F.c, seed & 0xFFFFFFFF, known_roots, known_counts)
     maps = []
     for jval, rs, ms, k in zip(jvals, roots.tolist(), mults.tolist(), counts.tolist()):
         row = {Fp2Element(*r): m for r, m in zip(rs[:k], ms[:k])}
@@ -141,14 +151,21 @@ def _neighbor_maps(F, table, jvals, seed):
 
 def neighbors(F, jval, ell, seed=0):
     """Multiset of neighboring j-invariants, as a root-multiplicity map."""
-    return _neighbor_maps(F, _modpoly_matrix(ell, F.p), [jval], seed)[0]
+    return _neighbor_maps(F, _modpoly_matrix(ell, F.p), [jval], seed, [()])[0]
 
 
 def build_graph(p, ell, seed=0):
     """Construct Lambda_p(ell) by BFS and verify all structural theorems.
 
     The BFS runs one layer at a time: the neighbours of every vertex of
-    the frontier come from a single batched root-finder call.
+    the frontier come from a single batched root-finder call.  Phi_ell is
+    symmetric, so every vertex of the previous layer adjacent to a
+    frontier vertex j' is a known root of Phi_ell(j', Y).  The root
+    finder divides those out, raising ``TheoremViolation`` if one leaves
+    a remainder, and solves what is left, in closed form when its degree
+    is at most 2.  Multiplicities are taken on the undeflated
+    Phi_ell(j', Y), so the symmetry check of ``check_structure`` does not
+    rest on the symmetry used here.
     """
     _check_graph_prime(p)
     if ell not in SUPPORTED_ELLS:
@@ -160,15 +177,21 @@ def build_graph(p, ell, seed=0):
     seed_j = find_supersingular_seed(p)
     order = [seed_j]
     index = {seed_j: 0}
+    earlier = {}  # next-layer vertex -> the j of its neighbours in this layer
     adj_rows = []
     while len(adj_rows) < len(order):
-        for nbrs in _neighbor_maps(F, table, order[len(adj_rows):], seed):
+        lo, hi = len(adj_rows), len(order)
+        known = [earlier.pop(i, ()) for i in range(lo, hi)]
+        for u, nbrs in enumerate(_neighbor_maps(F, table, order[lo:hi], seed, known), lo):
             row = {}
             for nb, mult in nbrs.items():
                 if nb not in index:
                     index[nb] = len(order)
                     order.append(nb)
-                row[index[nb]] = mult
+                k = index[nb]
+                if k >= hi:
+                    earlier.setdefault(k, []).append(order[u])
+                row[k] = mult
             adj_rows.append(row)
 
     n = len(order)

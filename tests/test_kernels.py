@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ssig import batched_roots, kernels
-from ssig.arith import Fp2, PolyFp2
+from ssig.arith import Fp2, Fp2Element, PolyFp2
+from ssig.brandt import TheoremViolation
 
 # the scalar kernel run interpreted, also where numba compiled it
 scalar_roots = getattr(kernels._fp2_poly_roots_one, "py_func",
@@ -97,3 +98,101 @@ def test_rows_without_roots_and_ignored_high_coefficients():
     roots, mults, counts = kernels.fp2_poly_roots(coeffs, [0, 1, 2], 13, F.c, 0)
     assert as_maps(roots, mults, counts) == [{}, {(12, 0): 1},
                                              {(5, 0): 1, (8, 0): 1}]
+
+
+def all_of_fp2(p):
+    """Every element of F_p^2, as an (p^2, 2) array."""
+    return np.stack(np.meshgrid(np.arange(p), np.arange(p), indexing="ij"),
+                    axis=-1).reshape(-1, 2).astype(np.int64)
+
+
+def fp2_square(x, F):
+    return np.array([F.mul(a, a) for a in (Fp2Element(*v) for v in x.tolist())],
+                    np.int64).reshape(-1, 2)
+
+
+@pytest.mark.parametrize("p", [13, 37, 257])
+def test_fp2_sqrt_matches_brute_force_on_all_of_fp2(p):
+    # 257 - 1 = 2^8: Tonelli-Shanks takes every one of its steps
+    F = Fp2(p)
+    field = all_of_fp2(p)
+    squares = {tuple(v) for v in fp2_square(field, F).tolist()}
+    x, ok = batched_roots._fp2_sqrt(field, p, F.c)
+    assert ok.tolist() == [tuple(a) in squares for a in field.tolist()]
+    assert len(squares) == (p * p + 1) // 2
+    assert np.array_equal(fp2_square(x[ok], F), field[ok])
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 998244353])
+def test_fp2_sqrt_on_random_elements(p):
+    # 998244353 - 1 = 119 * 2^23
+    F = Fp2(p)
+    rng = np.random.default_rng(p)
+    roots = rng.integers(0, p, (200, 2))
+    squares = fp2_square(roots, F)
+    x, ok = batched_roots._fp2_sqrt(squares, p, F.c)
+    assert ok.all()
+    assert all(tuple(a) in (tuple(r), tuple(-r % p))
+               for a, r in zip(x.tolist(), roots))
+    # a is a square in F_p^2 exactly when its norm is a square in F_p
+    a = rng.integers(0, p, (200, 2))
+    x, ok = batched_roots._fp2_sqrt(a, p, F.c)
+    norms = [(a0 * a0 - F.c * a1 * a1) % p for a0, a1 in a.tolist()]
+    assert ok.tolist() == [pow(n, (p - 1) // 2, p) in (0, 1) for n in norms]
+    assert 50 < ok.sum() < 150
+    assert np.array_equal(fp2_square(x[ok], F), a[ok])
+
+
+@pytest.mark.parametrize("p,rows", [(13, 40), (37, 40), (10007, 30), (2**31 - 1, 12)])
+def test_known_roots_deflated_match_scalar_kernel(p, rows):
+    # each row told some of its distinct roots, in shuffled order
+    F = Fp2(p)
+    rng = random.Random(p + 1)
+    coeffs, degs = random_batch(F, rng, rows)
+    expected = scalar_maps(coeffs, degs, F, seed=5)
+    known = np.zeros((rows, kernels.MAXD, 2), np.int64)
+    known_counts = np.zeros(rows, np.int64)
+    for i, row in enumerate(expected):
+        told = rng.sample(sorted(row), rng.randint(0, len(row)))
+        known[i, :len(told)] = np.reshape(told, (-1, 2))
+        known_counts[i] = len(told)
+    assert known_counts.sum() > rows // 2
+    found = kernels.fp2_poly_roots(coeffs, degs, p, F.c, 5, known, known_counts)
+    assert as_maps(*found) == expected
+    # and each root once: a known root the residual has too is not repeated
+    assert found[2].tolist() == [len(row) for row in expected]
+
+
+def test_known_root_that_leaves_a_remainder_raises():
+    F = Fp2(13)
+    coeffs = np.zeros((2, kernels.MAXD + 1, 2), np.int64)
+    coeffs[0, :3] = [(12, 0), (0, 0), (1, 0)]  # Y^2 - 1
+    coeffs[1, :3] = [(12, 0), (0, 0), (1, 0)]
+    known = np.array([[(1, 0), (12, 0)], [(1, 0), (2, 0)]])
+    with pytest.raises(TheoremViolation, match=r"known root \(2, 0\) of row 1"):
+        kernels.fp2_poly_roots(coeffs, [2, 2], 13, F.c, 0, known, [2, 2])
+
+
+def test_quadratics_in_closed_form():
+    F = Fp2(13)
+    coeffs = np.zeros((3, kernels.MAXD + 1, 2), np.int64)
+    coeffs[0, :3] = [(4, 0), (4, 0), (1, 0)]  # (Y + 2)^2
+    coeffs[1, :3] = [(F.c, 0), (0, 0), (12, 0)]  # c - Y^2: roots +-t
+    # Y^2 - t has no root in F_p^2: t is not a square there, its norm -c
+    # not being a square mod 13
+    coeffs[2, :3] = [(0, 12), (0, 0), (1, 0)]
+    assert pow(-F.c % 13, 6, 13) == 12
+    assert as_maps(*kernels.fp2_poly_roots(coeffs, [2, 2, 2], 13, F.c, 0)) == [
+        {(11, 0): 2}, {(0, 1): 1, (0, 12): 1}, {}]
+
+
+def test_compiled_backend_checks_known_roots(monkeypatch):
+    # the row loop runs interpreted where numba is missing
+    monkeypatch.setattr(kernels, "BACKEND", "numba")
+    F = Fp2(13)
+    coeffs = np.zeros((1, kernels.MAXD + 1, 2), np.int64)
+    coeffs[0, :3] = [(12, 0), (0, 0), (1, 0)]  # Y^2 - 1
+    found = kernels.fp2_poly_roots(coeffs, [2], 13, F.c, 0, [[(12, 0)]], [1])
+    assert as_maps(*found) == [{(1, 0): 1, (12, 0): 1}]
+    with pytest.raises(TheoremViolation, match=r"known root \(2, 0\) of row 0"):
+        kernels.fp2_poly_roots(coeffs, [2], 13, F.c, 0, [[(2, 0)]], [1])

@@ -4,9 +4,12 @@ import pytest
 from ssig import kernels
 from ssig._modpoly_data import MODULAR_POLYNOMIALS
 from ssig.arith import DomainError, Fp2, Fp2Element
-from ssig.brandt import trace_formula, vertex_count
+from ssig.brandt import TheoremViolation, trace_formula, vertex_count
 from ssig.ssgraph import (
     SUPPORTED_ELLS,
+    _modpoly_matrix,
+    _neighbor_maps,
+    _specialize,
     build_graph,
     find_supersingular_seed,
     neighbors,
@@ -120,3 +123,68 @@ class TestBuildGraph:
             build_graph(14, 2)  # not prime
         with pytest.raises(DomainError):
             build_graph(109, 11)  # unsupported degree
+
+
+def scalar_neighbors(F, jval, ell):
+    """Root-multiplicity map of the undeflated Phi_ell(j, Y), specialized
+    with Fp2 objects and solved by the interpreted per-polynomial kernel."""
+    scalar = getattr(kernels._fp2_poly_roots_one, "py_func",
+                     kernels._fp2_poly_roots_one)
+    coeffs = [F.zero()] * (ell + 2)
+    for (xi, yi), coef in MODULAR_POLYNOMIALS[ell].items():
+        coeffs[yi] = F.add(coeffs[yi], F.mul(F.element(coef, 0), F.pow(jval, xi)))
+    arr = np.zeros((kernels.MAXD + 1, 2), np.int64)
+    arr[:ell + 2] = coeffs
+    roots, mults, count = scalar(arr, ell + 1, F.p, F.c, 0)
+    return {Fp2Element(*r): m
+            for r, m in zip(roots[:count].tolist(), mults[:count].tolist())}
+
+
+class TestDeflatedRootFinder:
+    @pytest.mark.parametrize("p", [109, 433, 1009])
+    @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
+    def test_build_graph_matches_vertex_by_vertex_oracle(self, graphs, p, ell):
+        # BFS from the seed, one undeflated Phi_ell(j, Y) per vertex
+        F = Fp2(p)
+        order = [find_supersingular_seed(p)]
+        rows = {}
+        for jval in order:
+            rows[jval] = scalar_neighbors(F, jval, ell)
+            order += [nb for nb in rows[jval] if nb not in rows and nb not in order]
+        vertices = sorted(order, key=lambda jv: (jv.c1, jv.c0))
+        index = {jv: i for i, jv in enumerate(vertices)}
+        adjacency = np.zeros((len(vertices), len(vertices)), np.int64)
+        for jval, row in rows.items():
+            for nb, mult in row.items():
+                adjacency[index[jval], index[nb]] = mult
+        g = graphs(p, ell)
+        assert g.vertices == vertices
+        assert np.array_equal(g.adjacency, adjacency)
+
+    def test_planted_wrong_known_neighbour_raises(self, graphs):
+        g = graphs(109, 3)
+        F, table = g.field, _modpoly_matrix(3, 109)
+        u, v = g.vertices[0], g.vertices[1]
+        right = [g.vertices[k] for k in np.flatnonzero(g.adjacency[1])]
+        wrong = next(jv for k, jv in enumerate(g.vertices) if g.adjacency[0, k] == 0)
+        # the true neighbours deflate cleanly, in any slot
+        maps = _neighbor_maps(F, table, [u, v], 0, [[], right[::-1]])
+        assert maps == [neighbors(F, u, 3), neighbors(F, v, 3)]
+        with pytest.raises(TheoremViolation, match="leaves the remainder"):
+            _neighbor_maps(F, table, [v, u], 0, [right, [wrong]])
+
+    def test_quadratic_residual_without_roots_raises(self):
+        # an ordinary j whose Phi_2(j, Y) has one simple root r in F_p^2 and
+        # no other: with r known, the residual is a quadratic whose
+        # discriminant is not a square in F_p^2
+        F = Fp2(13)
+        table = _modpoly_matrix(2, 13)
+        jval, r = next((jv, next(iter(row)))
+                       for jv in (Fp2Element(a, b) for a in range(13) for b in range(13))
+                       for row in [scalar_neighbors(F, jv, 2)]
+                       if list(row.values()) == [1])
+        roots, mults, counts = kernels.fp2_poly_roots(
+            _specialize(F, table, [jval]), [3], 13, F.c, 0, [[r]], [1])
+        assert (counts[0], tuple(roots[0, 0]), mults[0, 0]) == (1, tuple(r), 1)
+        with pytest.raises(TheoremViolation, match="out-degree is not 3"):
+            _neighbor_maps(F, table, [jval], 0, [[r]])

@@ -8,8 +8,9 @@ Each tree runs in its own subprocess, the two side by side, and writes
 and every ell in {2, 3, 5, 7}, building each graph into a fresh cache.
 With ``--queries`` each tree also answers, for every such p and from that
 cache, ``stats --json`` for each ell, ``intersect --ell1 2 --ell2 3`` and
-``biroute --ell1 2 --ell2 3 --r R`` for R = 1, 2, 3; a query's exit code,
-stdout and stderr are compared together.
+``biroute --ell1 2 --ell2 3 --r R`` for R = 1, 2, 3, and it writes the DOT
+overlay ``graph --ell 2 --ell2 3 --format dot``; the exit code, stdout and
+stderr of each are compared together.
 Prints one line per output that differs or fails, then a summary; exits
 1 if any output differs or fails, else 0.
 """
@@ -51,6 +52,13 @@ def queries(p_max):
     return [(name, [str(a) for a in argv]) for name, argv in out]
 
 
+def dot_exports(p_max):
+    """(file name, ssig argv) for every DOT overlay compared under --queries."""
+    return [(f"p{p}_dot.txt", ["graph", "--p", str(p), "--ell", "2", "--ell2", "3",
+                               "--format", "dot"])
+            for p in primes(p_max)]
+
+
 def package_dir(tree):
     tree = Path(tree).resolve()
     for candidate in (tree / "src", tree):
@@ -73,7 +81,7 @@ def worker(src, out, p_max, with_queries):
                 target.write_text(f"exit {rc}\n")
         if not with_queries:
             return
-        for name, argv in queries(p_max):
+        for name, argv in queries(p_max) + dot_exports(p_max):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 rc = ssig(argv + ["--cache-dir", cache])
@@ -93,7 +101,7 @@ def main(argv=None):
     parser.add_argument("--max", type=int, default=3000, dest="p_max",
                         help="compare primes below this bound (default 3000)")
     parser.add_argument("--queries", action="store_true",
-                        help="also compare stats, intersect and biroute outputs")
+                        help="also compare stats, intersect, biroute and DOT outputs")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -125,16 +133,17 @@ def main(argv=None):
         print(f"{len(todo)} exports compared (p = 1 mod 12 below {args.p_max}, "
               f"ell in {ELLS}): {bad} differ or fail")
         if args.queries:
-            asked = queries(args.p_max)
-            differ = 0
-            for name, argv in asked:
-                old, new = ((out / name).read_text() for out in outs)
-                if old != new:
-                    print(f"{' '.join(argv)}: outputs differ\n"
-                          f"  old: {old!r}\n  new: {new!r}")
-                    differ += 1
-            print(f"{len(asked)} query outputs compared: {differ} differ")
-            bad += differ
+            for what, asked in (("query outputs", queries(args.p_max)),
+                                ("DOT exports", dot_exports(args.p_max))):
+                differ = 0
+                for name, argv in asked:
+                    old, new = ((out / name).read_text() for out in outs)
+                    if old != new:
+                        print(f"{' '.join(argv)}: outputs differ\n"
+                              f"  old: {old!r}\n  new: {new!r}")
+                        differ += 1
+                print(f"{len(asked)} {what} compared: {differ} differ")
+                bad += differ
     return 1 if bad else 0
 
 
