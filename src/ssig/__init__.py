@@ -51,12 +51,10 @@ from .congruence import (
     holds_by_trace,
 )
 from .export import GraphCache, graph_from_dict, graph_to_dict, to_dot
-from .kernels import BACKEND
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "BACKEND",
     "BirouteReport",
     "BrandtMatrix",
     "CongruenceClassSet",

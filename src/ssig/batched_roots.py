@@ -1,9 +1,8 @@
-"""Batched numpy root finder over F_p^2: the python backend of
-``kernels.fp2_poly_roots``.
+"""Batched numpy root finder over F_p^2, behind ``kernels.fp2_poly_roots``.
 
 Every row is made monic, and the roots its caller already knows are
 divided out of it, each once, by one batched synthetic division per
-slot; a division that leaves a remainder raises ``TheoremViolation``.
+slot; a division that leaves a remainder raises ``InexactDeflation``.
 ``build_graph`` passes the neighbours found in earlier BFS layers, which
 are roots because Phi_ell is symmetric.  What is left, the residual, is
 solved by its degree:
@@ -36,6 +35,15 @@ import numpy as np
 
 from .brandt import TheoremViolation
 from .kernels import MAXD, _lcg
+
+
+class InexactDeflation(TheoremViolation):
+    """A known root of batch row ``row`` that is not a root: dividing it
+    out leaves the nonzero ``remainder``."""
+
+    def __init__(self, row, root, remainder):
+        super().__init__(f"known root {root} of row {row} leaves the remainder {remainder}")
+        self.row, self.root, self.remainder = row, root, remainder
 
 
 def _fp2_mul(a, b, p, c):
@@ -333,9 +341,8 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
         bad = np.flatnonzero(rem.any(axis=1))
         if len(bad):
             i = bad[0]
-            raise TheoremViolation(
-                f"known root {tuple(r[i].tolist())} of row {rows[i]} leaves "
-                f"the remainder {tuple(rem[i].tolist())}")
+            raise InexactDeflation(int(rows[i]), tuple(r[i].tolist()),
+                                   tuple(rem[i].tolist()))
         owners.append(rows)
         found.append(r)
 

@@ -134,9 +134,19 @@ def _neighbor_maps(F, table, jvals, seed, known):
     for i, ks in enumerate(known):
         if ks:
             known_roots[i, :len(ks)] = ks
-    roots, mults, counts = kernels.fp2_poly_roots(
-        _specialize(F, table, jvals), np.full(n, ell + 1),
-        F.p, F.c, seed & 0xFFFFFFFF, known_roots, known_counts)
+    # loaded on first use, as in kernels.fp2_poly_roots
+    from .batched_roots import InexactDeflation
+
+    try:
+        roots, mults, counts = kernels.fp2_poly_roots(
+            _specialize(F, table, jvals), np.full(n, ell + 1),
+            F.p, F.c, seed & 0xFFFFFFFF, known_roots, known_counts)
+    except InexactDeflation as err:
+        raise TheoremViolation(
+            f"known neighbour {Fp2Element(*err.root)} of j={jvals[err.row]} "
+            f"(p={F.p}, ell={ell}) leaves the remainder "
+            f"{Fp2Element(*err.remainder)} in Phi_{ell}(j, Y); contradicts "
+            "the symmetry of Phi_ell") from err
     maps = []
     for jval, rs, ms, k in zip(jvals, roots.tolist(), mults.tolist(), counts.tolist()):
         row = {Fp2Element(*r): m for r, m in zip(rs[:k], ms[:k])}

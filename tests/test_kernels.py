@@ -9,9 +9,7 @@ from ssig import batched_roots, kernels
 from ssig.arith import Fp2, Fp2Element, PolyFp2
 from ssig.brandt import TheoremViolation
 
-# the scalar kernel run interpreted, also where numba compiled it
-scalar_roots = getattr(kernels._fp2_poly_roots_one, "py_func",
-                       kernels._fp2_poly_roots_one)
+from _scalar_roots import _fp2_poly_roots_one as scalar_roots
 
 
 def random_batch(F, rng, rows):
@@ -78,14 +76,6 @@ def test_int64_headroom_roots_checked_by_evaluation():
                     cs.append(acc)
                 quotient = PolyFp2(F, cs[::-1])
             assert not F.is_zero(quotient(root))
-
-
-def test_compiled_backend_row_loop_matches_batched():
-    F = Fp2(109)
-    coeffs, degs = random_batch(F, random.Random(2), 20)
-    by_row = kernels._roots_by_row(coeffs, degs, F.p, F.c, 3)
-    batched = batched_roots.find_roots(coeffs, degs, F.p, F.c, 3)
-    assert as_maps(*by_row) == as_maps(*batched)
 
 
 def test_rows_without_roots_and_ignored_high_coefficients():
@@ -185,14 +175,3 @@ def test_quadratics_in_closed_form():
     assert as_maps(*kernels.fp2_poly_roots(coeffs, [2, 2, 2], 13, F.c, 0)) == [
         {(11, 0): 2}, {(0, 1): 1, (0, 12): 1}, {}]
 
-
-def test_compiled_backend_checks_known_roots(monkeypatch):
-    # the row loop runs interpreted where numba is missing
-    monkeypatch.setattr(kernels, "BACKEND", "numba")
-    F = Fp2(13)
-    coeffs = np.zeros((1, kernels.MAXD + 1, 2), np.int64)
-    coeffs[0, :3] = [(12, 0), (0, 0), (1, 0)]  # Y^2 - 1
-    found = kernels.fp2_poly_roots(coeffs, [2], 13, F.c, 0, [[(12, 0)]], [1])
-    assert as_maps(*found) == [{(1, 0): 1, (12, 0): 1}]
-    with pytest.raises(TheoremViolation, match=r"known root \(2, 0\) of row 0"):
-        kernels.fp2_poly_roots(coeffs, [2], 13, F.c, 0, [[(2, 0)]], [1])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ssig import kernels
-from ssig._modpoly_data import MODULAR_POLYNOMIALS
 from ssig.arith import DomainError, Fp2, Fp2Element
 from ssig.brandt import TheoremViolation, trace_formula, vertex_count
 from ssig.ssgraph import (
@@ -15,6 +14,8 @@ from ssig.ssgraph import (
     neighbors,
     validate_modpoly_table,
 )
+
+from _scalar_roots import scalar_neighbors
 
 
 class TestModpolyTable:
@@ -50,22 +51,10 @@ class TestNeighbors:
 
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
     def test_maps_match_scalar_kernel_on_object_specialization(self, graphs, ell):
-        # Phi_ell(j, Y) built with Fp2 objects, roots by the interpreted
-        # per-polynomial kernel
+        # Phi_ell(j, Y) built with Fp2 objects, roots by the scalar kernel
         F = Fp2(109)
-        scalar = getattr(kernels._fp2_poly_roots_one, "py_func",
-                         kernels._fp2_poly_roots_one)
         for jval in graphs(109, ell).vertices:
-            coeffs = [F.zero()] * (ell + 2)
-            for (xi, yi), coef in MODULAR_POLYNOMIALS[ell].items():
-                term = F.mul(F.element(coef, 0), F.pow(jval, xi))
-                coeffs[yi] = F.add(coeffs[yi], term)
-            arr = np.zeros((kernels.MAXD + 1, 2), np.int64)
-            arr[:ell + 2] = coeffs
-            roots, mults, count = scalar(arr, ell + 1, F.p, F.c, 0)
-            expected = {Fp2Element(*r): m for r, m in
-                        zip(roots[:count].tolist(), mults[:count].tolist())}
-            assert neighbors(F, jval, ell) == expected
+            assert neighbors(F, jval, ell) == scalar_neighbors(F, jval, ell)
 
     def test_smallest_graph_neighbors(self):
         F = Fp2(13)
@@ -125,21 +114,6 @@ class TestBuildGraph:
             build_graph(109, 11)  # unsupported degree
 
 
-def scalar_neighbors(F, jval, ell):
-    """Root-multiplicity map of the undeflated Phi_ell(j, Y), specialized
-    with Fp2 objects and solved by the interpreted per-polynomial kernel."""
-    scalar = getattr(kernels._fp2_poly_roots_one, "py_func",
-                     kernels._fp2_poly_roots_one)
-    coeffs = [F.zero()] * (ell + 2)
-    for (xi, yi), coef in MODULAR_POLYNOMIALS[ell].items():
-        coeffs[yi] = F.add(coeffs[yi], F.mul(F.element(coef, 0), F.pow(jval, xi)))
-    arr = np.zeros((kernels.MAXD + 1, 2), np.int64)
-    arr[:ell + 2] = coeffs
-    roots, mults, count = scalar(arr, ell + 1, F.p, F.c, 0)
-    return {Fp2Element(*r): m
-            for r, m in zip(roots[:count].tolist(), mults[:count].tolist())}
-
-
 class TestDeflatedRootFinder:
     @pytest.mark.parametrize("p", [109, 433, 1009])
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
@@ -170,8 +144,10 @@ class TestDeflatedRootFinder:
         # the true neighbours deflate cleanly, in any slot
         maps = _neighbor_maps(F, table, [u, v], 0, [[], right[::-1]])
         assert maps == [neighbors(F, u, 3), neighbors(F, v, 3)]
-        with pytest.raises(TheoremViolation, match="leaves the remainder"):
+        with pytest.raises(TheoremViolation, match="leaves the remainder") as err:
             _neighbor_maps(F, table, [v, u], 0, [right, [wrong]])
+        assert f"of j={u}" in str(err.value)
+        assert "p=109" in str(err.value) and "ell=3" in str(err.value)
 
     def test_quadratic_residual_without_roots_raises(self):
         # an ordinary j whose Phi_2(j, Y) has one simple root r in F_p^2 and
