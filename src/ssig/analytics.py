@@ -16,8 +16,8 @@ from .arith import DomainError, factor
 from .brandt import (
     TheoremViolation,
     brandt_powers,
-    brandt_prime_power,
     check_trace_degree,
+    neighbour_table,
     trace_formula,
 )
 
@@ -81,30 +81,27 @@ class BirouteReport:
 
 def graph_stats(g):
     """All loop/multi-edge statistics of a graph, with identities asserted."""
-    A = g.adjacency
     n = g.n
     ell = g.ell
-    loop_count = int(np.trace(A))
-    diag = np.diag(A)
-    upper = np.triu(A, 1)
+    i, k, mult = g.edges()
+    loops = i == k
+    loop_count = int(mult[loops].sum())
+    multi_pairs = int((mult * (mult - 1) // 2).sum())
+    redundant = int((mult - 1).sum())
 
-    def pairs(x):
-        return int((x * (x - 1) // 2).sum())
+    def redundant_by_class(mults):
+        """m -> (m - 1) times the number of m-fold sites, for m >= 2."""
+        sites = np.bincount(mults).tolist()
+        return {m: s * (m - 1) for m, s in enumerate(sites) if m >= 2 and s}
 
-    multi_pairs = pairs(upper) + pairs(diag)
-    redundant = int(np.maximum(upper - 1, 0).sum() + np.maximum(diag - 1, 0).sum())
-    re_offdiag = {}
-    re_loops = {}
-    for m in range(2, int(A.max()) + 1):
-        sites = int((upper == m).sum())
-        if sites:
-            re_offdiag[m] = sites * (m - 1)
-        loop_sites = int((diag == m).sum())
-        if loop_sites:
-            re_loops[m] = loop_sites * (m - 1)
+    re_offdiag = redundant_by_class(mult[~loops])
+    re_loops = redundant_by_class(mult[loops])
 
-    B2 = brandt_prime_power(g.brandt(), 2)
-    trace_l2 = B2.trace()
+    # Tr B(ell^2) from B(ell^2) = B(ell) B(ell) - ell I: entry (i, i) of the
+    # product is B(ell)[c, i] summed over the neighbours c of i, in a table
+    # that refuses a B(ell) not symmetric or not (ell+1)-regular.
+    nbr = neighbour_table(g.brandt())
+    trace_l2 = int(g.adjacency[nbr, np.arange(n)[:, None]].sum()) - ell * n
     # decomposition of the trace excess over multiplicity classes
     decomposed = sum(2 * m * re for m, re in re_offdiag.items()) + sum(
         m * re for m, re in re_loops.items()
@@ -144,17 +141,18 @@ def _check_pair(g1, g2):
 def intersection_number(g1, g2):
     """Number of common edges: sum over i <= j of min(B_ij(l1), B_ij(l2))."""
     _check_pair(g1, g2)
-    m = np.minimum(g1.adjacency, g2.adjacency)
-    return int((np.triu(m, 1).sum()) + np.diag(m).sum())
+    i, k, m = g2.edges()
+    return int(np.minimum(m, g1.adjacency[i, k]).sum())
 
 
 def edit_distance(g1, g2):
     """|E1| + |E2| - 2 |E1 cap E2|, cross-checked by direct counting."""
     _check_pair(g1, g2)
     value = g1.edge_count() + g2.edge_count() - 2 * intersection_number(g1, g2)
-    # independent route: symmetric difference of edge multisets
-    diff = np.abs(g1.adjacency - g2.adjacency)
-    direct = int(np.triu(diff, 1).sum() + np.diag(diff).sum())
+    # independent route: symmetric difference of edge multisets, as the
+    # edges of each graph beyond those of the other at the same site
+    direct = sum(int(np.maximum(m - other.adjacency[i, k], 0).sum())
+                 for (i, k, m), other in ((g1.edges(), g2), (g2.edges(), g1)))
     if value != direct:
         raise TheoremViolation(
             f"edit distance mismatch for p={g1.p}: {value} != {direct}"

@@ -64,7 +64,7 @@ def identity_matrix(n, vertex_order=None):
     return BrandtMatrix(1, np.eye(n, dtype=np.int64), vertex_order)
 
 
-def _neighbour_table(base):
+def neighbour_table(base):
     """(n, ell+1) table of each vertex's neighbours, repeated by multiplicity."""
     A = base.entries
     ell = base.degree
@@ -72,8 +72,8 @@ def _neighbour_table(base):
         raise DomainError(f"rows of B({ell}) must all sum to {ell + 1}")
     if not np.array_equal(A, A.T):
         raise DomainError(f"B({ell}) must be symmetric")
-    n = base.n
-    return np.repeat(np.tile(np.arange(n), n), A.ravel()).reshape(n, ell + 1)
+    rows, cols = np.nonzero(A)  # row-major, so each row's columns are contiguous
+    return np.repeat(cols, A[rows, cols]).reshape(base.n, ell + 1)
 
 
 def brandt_powers(base, k):
@@ -96,7 +96,7 @@ def brandt_powers(base, k):
     powers = [identity_matrix(base.n, base.vertex_order)]
     if k == 0:
         return powers
-    nbr = _neighbour_table(base)
+    nbr = neighbour_table(base)
     powers.append(base)
     for j in range(2, k + 1):
         cur = powers[-1].entries

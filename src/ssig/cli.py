@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit status contract: 0 success, 2 user error, 3 theorem violation
-(an identity that should be provably true failed, i.e. a bug).
+Exit status contract: 0 success, 2 user error (including a path that
+cannot be read or written), 3 theorem violation (an identity that should
+be provably true failed, i.e. a bug).
 """
 
 import csv
@@ -277,7 +278,7 @@ def main(argv=None):
     except TheoremViolation as exc:
         _echo(f"theorem violation: {exc}", err=True)
         return 3
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:
         _echo(f"error: {exc}", err=True)
         return 2
     except click.UsageError as exc:

@@ -17,12 +17,12 @@ from .classnum import decompose
 PROPERTY_KINDS = ("noLoops", "noMultiEdges", "simple", "noCommonEdges")
 
 # Largest working modulus derive_congruences walks.  The walk takes time
-# linear in the modulus, and _minimize_modulus more, so a larger modulus
-# is refused rather than left to run for hours.  For ell in {2, 3, 5, 7},
-# 20 of the 36 inputs have moduli of at most 48,360; the other 16 start
-# at 7,759,752 (no-multi-edges at ell = 5).  For prime ell below 60 the
-# only modulus in between is 114,036 (no-loops at ell = 13, under 2 s),
-# so the limit admits it; the next one up is 2,516,360.
+# linear in the modulus, so a larger modulus is refused rather than left
+# to run for hours.  For ell in {2, 3, 5, 7}, 20 of the 36 inputs have
+# moduli of at most 48,360; the other 16 start at 7,759,752
+# (no-multi-edges at ell = 5).  For prime ell below 60 the only modulus
+# in between is 114,036 (no-loops at ell = 13, 0.1 s), so the limit
+# admits it; the next one up is 2,516,360.
 CONGRUENCE_M_LIMIT = 2 * 10**5
 
 
@@ -78,27 +78,30 @@ def discriminant_set(prop):
 def derive_congruences(prop):
     """Congruence classes on p equivalent to the property, minimal modulus.
 
-    The symbol (d|p) depends only on p modulo the fundamental part of d,
-    so the working modulus is the lcm of those conductors (and 12 when the
-    graphs must be undirected); the result is then reduced to the smallest
-    divisor that still describes the same residue set.  A working modulus
-    above CONGRUENCE_M_LIMIT is a DomainError, raised before any residue
-    is walked.
+    The symbol (d|p) depends only on p modulo the fundamental part d_f of
+    d, so the modulus is the lcm of the conductors |d_f| (and 12 when the
+    graphs must be undirected).  That modulus M is already the smallest
+    that describes the residue set.  The set is the subgroup of units mod M
+    on which every character in a list is 1: the primitive (d_f | .), each
+    of conductor |d_f|, and when undirected also chi_-4 and chi_-3, of
+    conductors 4 and 3, which together say r = 1 mod 12.  A subgroup is
+    described modulo a divisor M' of M exactly when every character that is
+    1 on it is defined modulo M', that is, when every conductor in the
+    list divides M'.  Their lcm is M, so M' = M.
+
+    A modulus above CONGRUENCE_M_LIMIT is a DomainError, raised before any
+    residue is walked.
     """
     discs = discriminant_set(prop)
-    conductors = []
-    for d in discs:
-        d_fund, _ = decompose(-d)
-        conductors.append(abs(d_fund))
+    funds = [decompose(-d)[0] for d in discs]
     modulus = 12 if prop.undirected else 1
-    for c in conductors:
-        modulus = math.lcm(modulus, c)
+    for df in funds:
+        modulus = math.lcm(modulus, abs(df))
     if modulus > CONGRUENCE_M_LIMIT:
         raise DomainError(
             f"congruence classes need working modulus <= CONGRUENCE_M_LIMIT = "
             f"{CONGRUENCE_M_LIMIT}, got {modulus}"
         )
-    funds = [decompose(-d)[0] for d in discs]
     residues = []
     for r in range(1, modulus):
         if math.gcd(r, modulus) != 1:
@@ -107,27 +110,11 @@ def derive_congruences(prop):
             continue
         if all(kronecker(df, r) == 1 for df in funds):
             residues.append(r)
-    modulus, residues = _minimize_modulus(modulus, residues)
     return CongruenceClassSet(
         modulus=modulus,
         residues=tuple(residues),
         valid_above=max(-d for d in discs),
     )
-
-
-def _minimize_modulus(M, residues):
-    """Smallest divisor M' of M describing the same set of residues."""
-    res = set(residues)
-    for Mp in sorted(d for d in range(1, M) if M % d == 0):
-        folded = {r % Mp for r in res}
-        lifted = {
-            x
-            for x in range(1, M)
-            if math.gcd(x, M) == 1 and x % Mp in folded
-        }
-        if lifted == res:
-            return Mp, sorted(folded)
-    return M, sorted(res)
 
 
 def holds_by_trace(prop, p):

@@ -23,11 +23,10 @@ def _parse_j(text):
 
 
 def graph_to_dict(g, stats=None):
-    upper = np.triu(g.adjacency)
-    rows, cols = np.nonzero(upper)  # row-major: by i, then by j >= i
+    rows, cols, mults = g.edges()
     edges = [
         {"i": i, "j": k, "m": m}
-        for i, k, m in zip(rows.tolist(), cols.tolist(), upper[rows, cols].tolist())
+        for i, k, m in zip(rows.tolist(), cols.tolist(), mults.tolist())
     ]
     doc = {
         "version": EXPORT_VERSION,
@@ -87,9 +86,7 @@ def to_dot(g, overlay=None):
 
     def emit(graph, color=None):
         attr = f' [color={color}]' if color else ""
-        upper = np.triu(graph.adjacency)
-        rows, cols = np.nonzero(upper)  # row-major: by i, then by k >= i
-        mults = upper[rows, cols]
+        rows, cols, mults = graph.edges()
         lines.extend(f"  v{i} -- v{k}{attr};" for i, k in zip(
             np.repeat(rows, mults).tolist(), np.repeat(cols, mults).tolist()))
 

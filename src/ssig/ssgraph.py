@@ -18,6 +18,10 @@ from ._modpoly_data import MODULAR_POLYNOMIALS
 
 SUPPORTED_ELLS = (2, 3, 5, 7)
 
+# Largest vertex count of a graph, so that its dense int64 adjacency stays
+# within 2**29 bytes; larger p is refused before anything is allocated.
+GRAPH_VERTEX_LIMIT = 8192
+
 
 def validate_modpoly_table(ell):
     """Structural self-checks on the shipped Phi_ell coefficient table."""
@@ -66,6 +70,13 @@ class IsogenyGraph:
     def trace(self):
         return int(np.trace(self.adjacency))
 
+    def edges(self):
+        """Undirected edges as arrays (i, k, m) with i <= k, in row-major
+        order; a loop is listed once."""
+        i, k = np.nonzero(self.adjacency)
+        upper = i <= k
+        return i[upper], k[upper], self.adjacency[i[upper], k[upper]]
+
     def edge_count(self):
         """Undirected edge count, loops counted once."""
         return (self.n * (self.ell + 1) + self.trace()) // 2
@@ -93,6 +104,9 @@ def _check_graph_prime(p):
         )
     if p < 13:
         raise DomainError(f"p must be at least 13, got {p}")
+    if vertex_count(p) > GRAPH_VERTEX_LIMIT:
+        raise DomainError(f"p={p} gives {vertex_count(p)} vertices, above "
+                          f"GRAPH_VERTEX_LIMIT = {GRAPH_VERTEX_LIMIT}")
 
 
 def _modpoly_matrix(ell, p):

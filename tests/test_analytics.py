@@ -1,6 +1,8 @@
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ssig.analytics import (
@@ -12,8 +14,90 @@ from ssig.analytics import (
     graph_stats,
     intersection_number,
 )
-from ssig.arith import DomainError
-from ssig.brandt import trace_formula
+from ssig.arith import DomainError, is_prime
+from ssig.brandt import brandt_prime_power, trace_formula
+from ssig.ssgraph import IsogenyGraph
+
+ELLS = (2, 3, 5, 7)
+SMALL_PRIMES = [p for p in range(13, 400, 12) if is_prime(p)]
+
+
+def dense_stats(g):
+    """graph_stats' figures from the dense adjacency: triu/diag views, one
+    mask per multiplicity and Tr B(ell^2) from the full matrix B(ell^2)."""
+    A = g.adjacency
+    diag, upper = np.diag(A), np.triu(A, 1)
+
+    def pairs(x):
+        return int((x * (x - 1) // 2).sum())
+
+    re_offdiag, re_loops = {}, {}
+    for m in range(2, int(A.max()) + 1):
+        if (upper == m).any():
+            re_offdiag[m] = int((upper == m).sum()) * (m - 1)
+        if (diag == m).any():
+            re_loops[m] = int((diag == m).sum()) * (m - 1)
+    return dict(
+        loop_count=int(np.trace(A)),
+        multi_edge_pair_count=pairs(upper) + pairs(diag),
+        redundant_edges=int(np.maximum(upper - 1, 0).sum()
+                            + np.maximum(diag - 1, 0).sum()),
+        re_offdiag=re_offdiag,
+        re_loops=re_loops,
+        trace_l2=brandt_prime_power(g.brandt(), 2).trace(),
+    )
+
+
+def dense_intersection(g1, g2):
+    m = np.minimum(g1.adjacency, g2.adjacency)
+    return int(np.triu(m, 1).sum() + np.diag(m).sum())
+
+
+def dense_edit_distance(g1, g2):
+    diff = np.abs(g1.adjacency - g2.adjacency)
+    return int(np.triu(diff, 1).sum() + np.diag(diff).sum())
+
+
+class TestAgainstDenseOracle:
+    @pytest.mark.parametrize("ell", ELLS)
+    def test_graph_stats_and_edges(self, graphs, ell):
+        for p in SMALL_PRIMES:
+            g = graphs(p, ell)
+            s = graph_stats(g)
+            for field, want in dense_stats(g).items():
+                assert getattr(s, field) == want, (p, ell, field)
+            upper = np.triu(g.adjacency)
+            rows, cols = np.nonzero(upper)
+            i, k, m = g.edges()
+            assert np.array_equal(i, rows) and np.array_equal(k, cols)
+            assert np.array_equal(m, upper[rows, cols])
+
+    @pytest.mark.parametrize("ells", list(itertools.combinations(ELLS, 2)))
+    def test_intersection_and_edit_distance(self, graphs, ells):
+        for p in SMALL_PRIMES:
+            g1, g2 = graphs(p, ells[0]), graphs(p, ells[1])
+            for a, b in ((g1, g2), (g2, g1)):
+                assert intersection_number(a, b) == dense_intersection(a, b)
+                assert edit_distance(a, b) == dense_edit_distance(a, b)
+
+    def test_every_one_unit_asymmetric_move_raises(self, graphs):
+        """A[i, j] -= 1, A[i, k] += 1 keeps row sums but breaks symmetry;
+        graph_stats must refuse each such graph, check_structure aside."""
+        g = graphs(109, 3)
+        moves = 0
+        for i, j in zip(*np.nonzero(g.adjacency)):
+            for k in range(g.n):
+                if k == j:
+                    continue
+                A = g.adjacency.copy()
+                A[i, j] -= 1
+                A[i, k] += 1
+                bad = IsogenyGraph(p=g.p, ell=g.ell, field=g.field,
+                                   vertices=g.vertices, adjacency=A)
+                with pytest.raises(DomainError, match="symmetric"):
+                    graph_stats(bad)
+                moves += 1
+        assert moves == 256
 
 
 class TestGraphStats109:

@@ -10,11 +10,11 @@ import pytest
 from click.testing import CliRunner
 
 from ssig.arith import is_prime
-from ssig.brandt import TheoremViolation
+from ssig.brandt import TheoremViolation, vertex_count
 from ssig import cli as cli_module
 from ssig.cli import cli, main
 from ssig.export import GraphCache
-from ssig.ssgraph import SUPPORTED_ELLS
+from ssig.ssgraph import GRAPH_VERTEX_LIMIT, SUPPORTED_ELLS
 
 
 @pytest.fixture()
@@ -155,6 +155,30 @@ class TestExitCodes:
         assert main(argv) == 2
         assert time.process_time() - start < 5
         assert "CONGRUENCE_M_LIMIT" in capsys.readouterr().err
+
+    def test_graph_past_the_vertex_limit_exits_2_at_once(self, tmp_path, capsys):
+        p = 98317  # the first p = 1 mod 12 with vertex_count(p) > 8192
+        assert is_prime(p) and vertex_count(p) == GRAPH_VERTEX_LIMIT + 1 == 8193
+        start = time.process_time()
+        assert main(["stats", "--p", str(p), "--ell", "2",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert time.process_time() - start < 5
+        assert "GRAPH_VERTEX_LIMIT" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["graph", "--p", "37", "--ell", "2", "--out", "{missing}/x.json"],
+        ["stats", "--p", "37", "--ell", "2", "--cache-dir", "{regular_file}"],
+        ["sweep", "--max", "40", "--out", "{missing}/l.csv"],
+    ])
+    def test_unwritable_paths_exit_2(self, argv, tmp_path, capsys):
+        regular_file = tmp_path / "regular"
+        regular_file.write_text("")
+        argv = [a.format(missing=tmp_path / "missing", regular_file=regular_file)
+                for a in argv]
+        if "--cache-dir" not in argv:
+            argv += ["--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_biroute_prints_only_the_routes_run(self, tmp_path, capsys):
         argv = ["biroute", "--p", "109", "--ell1", "5", "--ell2", "7", "--r", "4",

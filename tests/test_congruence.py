@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import pytest
 
-from ssig.arith import DomainError, is_prime
+from ssig.arith import DomainError, factor, is_prime
 from ssig.congruence import (
     CONGRUENCE_M_LIMIT,
+    PROPERTY_KINDS,
     GraphProperty,
     derive_congruences,
     discriminant_set,
@@ -85,6 +87,34 @@ class TestDeriveCongruences:
         cs = derive_congruences(GraphProperty("noLoops", (13,), False))
         assert cs.modulus == 114036 <= CONGRUENCE_M_LIMIT
         assert cs.residues[:4] == (1, 25, 49, 121)
+
+    def test_modulus_is_minimal(self):
+        """No proper divisor of the modulus describes the same residue set.
+
+        It suffices to try M / q for each prime q | M: every proper divisor
+        d of M divides one of them, and a set described modulo d is also
+        described modulo every multiple of d that divides M.  The units mod M
+        that reduce into the folded set number len(folded) phi(M)/phi(M/q),
+        and that count equals len(residues) exactly when M / q suffices.
+        """
+        ells = (2, 3, 5, 7)
+        derived = 0
+        for kind in PROPERTY_KINDS:
+            ell_sets = (list(itertools.combinations(ells, 2))
+                        if kind == "noCommonEdges" else [(ell,) for ell in ells])
+            for ell_set, undirected in itertools.product(ell_sets, (True, False)):
+                prop = GraphProperty(kind, ell_set, undirected)
+                try:
+                    cs = derive_congruences(prop)
+                except DomainError:
+                    continue
+                derived += 1
+                M = cs.modulus
+                for q, e in factor(M):
+                    folded = {r % (M // q) for r in cs.residues}
+                    lifts = q if e > 1 else q - 1  # phi(M) / phi(M / q)
+                    assert len(folded) * lifts > len(cs.residues), (prop, q)
+        assert derived == 20
 
     def test_congruence_matches_trace_predicate(self):
         for prop in (
