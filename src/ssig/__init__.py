@@ -7,7 +7,7 @@ matrix recurrences, Hurwitz class-number trace formulas), and derives
 congruence conditions on p equivalent to structural graph properties.
 """
 
-from .arith import DomainError, Fp2, Fp2Element, PolyFp2, is_prime, kronecker
+from .arith import DomainError, Fp2, Fp2Element, is_prime, kronecker
 from .classnum import (
     class_number,
     decompose,
@@ -65,7 +65,6 @@ __all__ = [
     "GraphProperty",
     "GraphStats",
     "IsogenyGraph",
-    "PolyFp2",
     "SUPPORTED_ELLS",
     "TheoremViolation",
     "biroute",

@@ -1,10 +1,6 @@
-"""Exact arithmetic: Kronecker symbols, primality, and F_p^2 algebra."""
+"""Exact arithmetic: Kronecker symbols, primality, and the F_p^2 descriptor."""
 
 from typing import NamedTuple
-
-import numpy as np
-
-from . import kernels
 
 P_LIMIT = 1 << 31  # keeps every kernel product inside int64
 
@@ -111,7 +107,8 @@ class Fp2:
     """The field F_p[t]/(t^2 - c), c the smallest positive nonresidue mod p.
 
     Fixing c canonically gives every j-invariant a reproducible coordinate
-    pair across runs and machines.
+    pair across runs and machines.  This is only the (p, c) descriptor:
+    the arithmetic runs on int64 (c0, c1) arrays in ``kernels``.
     """
 
     def __init__(self, p):
@@ -133,96 +130,3 @@ class Fp2:
 
     def __repr__(self):
         return f"Fp2(p={self.p}, c={self.c})"
-
-    def element(self, c0, c1=0):
-        return Fp2Element(c0 % self.p, c1 % self.p)
-
-    def zero(self):
-        return Fp2Element(0, 0)
-
-    def one(self):
-        return Fp2Element(1, 0)
-
-    def add(self, a, b):
-        return Fp2Element((a.c0 + b.c0) % self.p, (a.c1 + b.c1) % self.p)
-
-    def sub(self, a, b):
-        return Fp2Element((a.c0 - b.c0) % self.p, (a.c1 - b.c1) % self.p)
-
-    def neg(self, a):
-        return Fp2Element(-a.c0 % self.p, -a.c1 % self.p)
-
-    def mul(self, a, b):
-        p, c = self.p, self.c
-        return Fp2Element(
-            (a.c0 * b.c0 + c * (a.c1 * b.c1 % p)) % p,
-            (a.c0 * b.c1 + a.c1 * b.c0) % p,
-        )
-
-    def inv(self, a):
-        if a.c0 == 0 and a.c1 == 0:
-            raise DomainError("inversion of zero in F_p^2")
-        p = self.p
-        norm = (a.c0 * a.c0 - self.c * (a.c1 * a.c1 % p)) % p
-        ninv = pow(norm, p - 2, p)
-        return Fp2Element(a.c0 * ninv % p, -a.c1 % p * ninv % p)
-
-    def pow(self, a, e):
-        if e < 0:
-            a = self.inv(a)
-            e = -e
-        r = self.one()
-        while e > 0:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
-    def is_zero(self, a):
-        return a.c0 == 0 and a.c1 == 0
-
-
-class PolyFp2:
-    """Univariate polynomial over F_p^2, coefficients lowest degree first."""
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
-        self.coeffs = cs
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __call__(self, x):
-        F = self.field
-        acc = F.zero()
-        for coef in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), coef)
-        return acc
-
-
-def roots_with_multiplicity(poly, seed=0):
-    """All roots of a nonzero PolyFp2 in F_p^2, mapped to multiplicities.
-
-    Splits off the rational part with gcd(Y^(p^2) - Y, f), then extracts
-    roots by randomized equal-degree splitting (deterministic given seed);
-    a batch of one for ``kernels.fp2_poly_roots``.
-    """
-    if poly.degree < 0:
-        raise DomainError("roots of the zero polynomial are undefined")
-    if poly.degree > kernels.MAXD:
-        raise DomainError(f"degree {poly.degree} exceeds supported bound {kernels.MAXD}")
-    F = poly.field
-    arr = np.zeros((1, kernels.MAXD + 1, 2), dtype=np.int64)
-    arr[0, :poly.degree + 1] = poly.coeffs
-    roots, mults, counts = kernels.fp2_poly_roots(
-        arr, [poly.degree], F.p, F.c, seed & 0xFFFFFFFF
-    )
-    return {
-        Fp2Element(*r): m
-        for r, m in zip(roots[0, :counts[0]].tolist(), mults[0, :counts[0]].tolist())
-    }

@@ -33,8 +33,9 @@ p < 2^31.
 
 import numpy as np
 
+from .arith import DomainError
 from .brandt import TheoremViolation
-from .kernels import MAXD, _lcg
+from .kernels import MAXD, _lcg, fp2_mul
 
 
 class InexactDeflation(TheoremViolation):
@@ -44,19 +45,6 @@ class InexactDeflation(TheoremViolation):
     def __init__(self, row, root, remainder):
         super().__init__(f"known root {root} of row {row} leaves the remainder {remainder}")
         self.row, self.root, self.remainder = row, root, remainder
-
-
-def _fp2_mul(a, b, p, c):
-    """a * b in F_p^2 for broadcastable (..., 2) arrays of reduced values;
-    each component is a sum of two reduced products, so below 2p."""
-    a0, a1 = a[..., 0], a[..., 1]
-    b0, b1 = b[..., 0], b[..., 1]
-    ca1 = c * a1 % p
-    real = a0 * b0 % p + ca1 * b1 % p
-    out = np.empty(real.shape + (2,), np.int64)
-    out[..., 0] = real
-    out[..., 1] = a0 * b1 % p + a1 * b0 % p
-    return out
 
 
 def _fp_pow(a, e, p):
@@ -114,7 +102,7 @@ def _fp2_sqrt(a, p, c):
     for x0, x1 in ((r[0], r[3]), (r[1], r[2])):
         x1 = np.where(x0 * x1 % p * 2 % p == a1, x1, -x1 % p)
         cand = np.stack([x0, x1], axis=1)
-        good = ~ok & (_fp2_mul(cand, cand, p, c) % p == a).all(axis=1)
+        good = ~ok & (fp2_mul(cand, cand, p, c) % p == a).all(axis=1)
         x[good] = cand[good]
         ok |= good
     return x, ok
@@ -125,7 +113,7 @@ def _quadratic_roots(h, p, c):
     (N, 3, 2): ok marks the rows with roots in F_p^2, and y[i, 0] and
     y[i, 1] are the roots of row i (equal for a double root)."""
     b = h[:, 1]
-    disc = (_fp2_mul(b, b, p, c) - 4 * h[:, 0]) % p
+    disc = (fp2_mul(b, b, p, c) - 4 * h[:, 0]) % p
     s, ok = _fp2_sqrt(disc, p, c)
     half = (p + 1) // 2
     return np.stack([(s - b) * half % p, (-s - b) * half % p], axis=1), ok
@@ -137,13 +125,13 @@ def _divide_linear(h, r, p, c):
     acc = h[:, -1]
     for k in range(h.shape[1] - 1, 0, -1):
         quot[:, k - 1] = acc
-        acc = (_fp2_mul(acc, r, p, c) + h[:, k - 1]) % p
+        acc = (fp2_mul(acc, r, p, c) + h[:, k - 1]) % p
     return quot, acc
 
 
 def _times_y(a, low, p, c):
     """a * Y mod f for the batch of monic f with Y^d = low mod f."""
-    out = _fp2_mul(a[:, -1:], low, p, c)
+    out = fp2_mul(a[:, -1:], low, p, c)
     out[:, 1:] += a[:, :-1]
     return out % p
 
@@ -154,10 +142,10 @@ def _mulmod(a, b, high, p, c):
     # coefficient i of a times coefficient j of b, then the sums over
     # i + j = k: row i of the skewed array starts i places to the right
     prod = np.zeros((g, d, 2 * d, 2), np.int64)
-    prod[:, :, :d] = _fp2_mul(a[:, :, None], b[:, None, :], p, c)
+    prod[:, :, :d] = fp2_mul(a[:, :, None], b[:, None, :], p, c)
     skew = prod.reshape(g, 2 * d * d, 2)[:, :d * (2 * d - 1)]
     full = skew.reshape(g, d, 2 * d - 1, 2).sum(axis=1) % p
-    folded = _fp2_mul(full[:, d:, None], high, p, c).sum(axis=1)
+    folded = fp2_mul(full[:, d:, None], high, p, c).sum(axis=1)
     return (full[:, :d] + folded) % p
 
 
@@ -183,7 +171,7 @@ def _frobenius(x, frob, p, c):
     sum conj(x_i) Y^(i p), with conj(a0 + a1 t) = a0 - a1 t."""
     conj = x.copy()
     conj[..., 1] = -x[..., 1] % p
-    return _fp2_mul(conj[:, :, None], frob, p, c).sum(axis=1) % p
+    return fp2_mul(conj[:, :, None], frob, p, c).sum(axis=1) % p
 
 
 def _powmod_shift(low, high, r, e, p, c):
@@ -196,7 +184,7 @@ def _powmod_shift(low, high, r, e, p, c):
     for bit in bin(e)[3:]:
         res = _mulmod(res, res, high, p, c)
         if bit == "1":
-            res = (_times_y(res, low, p, c) + _fp2_mul(r, res, p, c)) % p
+            res = (_times_y(res, low, p, c) + fp2_mul(r, res, p, c)) % p
     return res
 
 
@@ -321,6 +309,9 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     nonzero = f.any(axis=2)
     deg = np.where(nonzero.any(axis=1),
                    width - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
+    if (deg < 0).any():
+        raise DomainError(f"row {np.argmax(deg < 0)} is the zero polynomial; "
+                          "its roots are undefined")
     f = f[:, :max(deg.max(initial=0), 1) + 1]
     lead = f[np.arange(n), np.maximum(deg, 0)]
     lead[deg < 0] = (1, 0)
@@ -328,7 +319,7 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
         # times the inverse of the leading coefficient, conj(a) / N(a)
         inv = _fp_pow((lead[:, 0] ** 2 - c * (lead[:, 1] ** 2 % p)) % p, p - 2, p)
         lead = np.stack([lead[:, 0] * inv % p, -lead[:, 1] * inv % p], axis=1)
-        f = _fp2_mul(f, lead[:, None], p, c) % p
+        f = fp2_mul(f, lead[:, None], p, c) % p
 
     # deflation: divide each known root out once
     nk = np.zeros(n, np.int64) if known is None else known_counts

@@ -89,7 +89,7 @@ def graph(p, ell, ell2, fmt, out, cache_dir, seed):
         text = json.dumps(graph_to_dict(g, graph_stats(g)), indent=1, sort_keys=True)
         text += "\n"
     else:
-        overlay = _load_or_build(p, ell2, cache_dir, seed) if ell2 else None
+        overlay = None if ell2 is None else _load_or_build(p, ell2, cache_dir, seed)
         text = to_dot(g, overlay)
     if out:
         with open(out, "w") as fh:
@@ -251,17 +251,18 @@ def verify(p, ell, cache_dir, seed):
 @seed_option
 def sweep(pmax, ells, out, cache_dir, seed):
     """Verify every prime p = 1 mod 12 up to --max; emit a CSV ledger."""
-    rows = []
-    for p in range(13, pmax + 1, 12):
-        if not is_prime(p):
-            continue
-        for ell in ells:
-            if p == ell:
-                continue
-            _, s = _verify_one(p, ell, cache_dir, seed)
-            rows.append([p, ell, s.n, s.loop_count, s.redundant_edges, "yes"])
+    # opened first, so that an unwritable --out fails before any graph is built
     writer_target = open(out, "w", newline="") if out else sys.stdout
     try:
+        rows = []
+        for p in range(13, pmax + 1, 12):
+            if not is_prime(p):
+                continue
+            for ell in ells:
+                if p == ell:
+                    continue
+                _, s = _verify_one(p, ell, cache_dir, seed)
+                rows.append([p, ell, s.n, s.loop_count, s.redundant_edges, "yes"])
         writer = csv.writer(writer_target)
         writer.writerow(["p", "ell", "n", "loops", "redundant", "trace_checks_passed"])
         writer.writerows(rows)

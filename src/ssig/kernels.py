@@ -9,12 +9,14 @@ that only residuals of degree >= 3 need Cantor-Zassenhaus.  The seed
 scan and the point count are numpy sums of the quadratic character.
 
 F_p^2 is F_p[t]/(t^2 - c); an element is the int64 pair (c0, c1) meaning
-c0 + c1*t.  A polynomial is an int64 array of shape (deg+1, 2), lowest
-degree first.  All moduli fit in 31 bits so every intermediate product
-stays below 2^63.
+c0 + c1*t, and ``fp2_mul`` is the one multiply on it, on whole arrays.
+A polynomial is an int64 array of shape (deg+1, 2), lowest degree first.
+All moduli fit in 31 bits so every intermediate product stays below 2^63.
 """
 
 import numpy as np
+
+from .arith import DomainError
 
 MAXD = 8  # largest polynomial degree handled (ell + 1 with ell <= 7)
 
@@ -24,6 +26,19 @@ def _lcg(state):
     return state * 48271 % 2147483647
 
 
+def fp2_mul(a, b, p, c):
+    """a * b in F_p^2 for broadcastable (..., 2) arrays of reduced values;
+    each component is a sum of two reduced products, so below 2p."""
+    a0, a1 = a[..., 0], a[..., 1]
+    b0, b1 = b[..., 0], b[..., 1]
+    ca1 = c * a1 % p
+    real = a0 * b0 % p + ca1 * b1 % p
+    out = np.empty(real.shape + (2,), np.int64)
+    out[..., 0] = real
+    out[..., 1] = a0 * b1 % p + a1 * b0 % p
+    return out
+
+
 def fp2_poly_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     """Roots in F_p^2 of a batch of nonzero polynomials, with multiplicities.
 
@@ -31,7 +46,8 @@ def fp2_poly_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     degree ``degs[i]`` lowest degree first; coefficients above the degree
     are ignored.  Returns (roots, mults, counts): for i < N and k <
     counts[i], roots[i, k] is the (c0, c1) pair of a distinct root of row
-    i and mults[i, k] its multiplicity.  Rows of degree <= 0 have no roots.
+    i and mults[i, k] its multiplicity.  Rows of degree 0 have no roots;
+    a zero row, or a wider array, is a ``DomainError``.
 
     ``known``, of shape (N, K, 2), with ``known_counts`` of shape (N,),
     optionally gives distinct roots the caller already knows:
@@ -42,11 +58,14 @@ def fp2_poly_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     """
     coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
     degs = np.asarray(degs, dtype=np.int64)
+    if coeffs.ndim != 3 or coeffs.shape[1:] != (MAXD + 1, 2):
+        raise DomainError(f"coefficients must have shape (N, {MAXD + 1}, 2), "
+                          f"degree at most {MAXD}; got {coeffs.shape}")
     if known is not None:
         known = np.asarray(known, dtype=np.int64)
         known_counts = np.asarray(known_counts, dtype=np.int64)
-    # imported on first use, so that commands which build no graph do not
-    # pay for compiling it
+    # imported on first use: with no bytecode cache its source compile
+    # costs a few ms, which commands that build no graph should not pay
     from . import batched_roots
 
     return batched_roots.find_roots(coeffs, degs, p, c, seed, known, known_counts)

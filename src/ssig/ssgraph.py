@@ -119,16 +119,15 @@ def _modpoly_matrix(ell, p):
 
 def _specialize(F, table, jvals):
     """Phi_ell(j, Y) for every j in ``jvals``, as the (N, MAXD + 1, 2)
-    coefficient array of ``kernels.fp2_poly_roots``: the table of powers
-    j^0 .. j^(ell+1) times the coefficient matrix, reduced term by term."""
-    jpow = []
-    for jval in jvals:
-        powers = [F.one()]
-        for _ in range(len(table) - 1):
-            powers.append(F.mul(powers[-1], jval))
-        jpow.append(powers)
-    jpow = np.array(jpow, dtype=np.int64).reshape(len(jvals), len(table), 2)
-    coeffs = np.zeros((len(jvals), kernels.MAXD + 1, 2), dtype=np.int64)
+    coefficient array of ``kernels.fp2_poly_roots``: the powers j^0 ..
+    j^(ell+1) of the whole batch, one ``kernels.fp2_mul`` per power, times
+    the coefficient matrix, reduced term by term."""
+    j = np.array(jvals, dtype=np.int64).reshape(-1, 2)
+    jpow = np.zeros((len(j), len(table), 2), dtype=np.int64)
+    jpow[:, 0, 0] = 1
+    for k in range(1, len(table)):
+        jpow[:, k] = kernels.fp2_mul(jpow[:, k - 1], j, F.p, F.c) % F.p
+    coeffs = np.zeros((len(j), kernels.MAXD + 1, 2), dtype=np.int64)
     coeffs[:, :len(table)] = (
         jpow[:, :, None, :] * table[None, :, :, None] % F.p).sum(axis=1) % F.p
     return coeffs
@@ -148,7 +147,8 @@ def _neighbor_maps(F, table, jvals, seed, known):
     for i, ks in enumerate(known):
         if ks:
             known_roots[i, :len(ks)] = ks
-    # loaded on first use, as in kernels.fp2_poly_roots
+    # not at module level: importing ssig must not compile batched_roots,
+    # as kernels.fp2_poly_roots explains
     from .batched_roots import InexactDeflation
 
     try:

@@ -317,14 +317,40 @@ def _fp2_poly_roots_one(coeffs, deg, p, c, seed):
     return roots, mults, count
 
 
+def _f2pow(a0, a1, e, p, c):
+    """(a0 + a1*t)^e by square-and-multiply, for e >= 0."""
+    r0, r1 = 1, 0
+    while e > 0:
+        if e & 1:
+            r0, r1 = _f2mul(r0, r1, a0, a1, p, c)
+        a0, a1 = _f2mul(a0, a1, a0, a1, p, c)
+        e >>= 1
+    return r0, r1
+
+
+def horner(coeffs, x0, x1, p, c):
+    """f(x) for a sequence of (c0, c1) coefficients, lowest degree first."""
+    a0, a1 = 0, 0
+    for k0, k1 in reversed([(int(k0), int(k1)) for k0, k1 in coeffs]):
+        a0, a1 = _f2mul(a0, a1, x0, x1, p, c)
+        a0, a1 = (a0 + k0) % p, (a1 + k1) % p
+    return a0, a1
+
+
+def scalar_specialize(p, c, j, ell):
+    """Phi_ell(j, Y) as a (MAXD + 1, 2) coefficient array: every term
+    coef * j^xi * Y^yi of the table, j^xi by scalar square-and-multiply."""
+    f = np.zeros((MAXD + 1, 2), np.int64)
+    for (xi, yi), coef in MODULAR_POLYNOMIALS[ell].items():
+        r0, r1 = _f2mul(coef % p, 0, *_f2pow(int(j[0]), int(j[1]), xi, p, c), p, c)
+        f[yi] = (int(f[yi, 0]) + r0) % p, (int(f[yi, 1]) + r1) % p
+    return f
+
+
 def scalar_neighbors(F, jval, ell):
     """Root-multiplicity map of the undeflated Phi_ell(j, Y), specialized
-    with Fp2 objects and solved by the scalar kernel."""
-    coeffs = [F.zero()] * (ell + 2)
-    for (xi, yi), coef in MODULAR_POLYNOMIALS[ell].items():
-        coeffs[yi] = F.add(coeffs[yi], F.mul(F.element(coef, 0), F.pow(jval, xi)))
-    arr = np.zeros((MAXD + 1, 2), np.int64)
-    arr[:ell + 2] = coeffs
-    roots, mults, count = _fp2_poly_roots_one(arr, ell + 1, F.p, F.c, 0)
+    and solved by the scalar kernel; ``F`` gives p and c."""
+    roots, mults, count = _fp2_poly_roots_one(
+        scalar_specialize(F.p, F.c, jval, ell), ell + 1, F.p, F.c, 0)
     return {Fp2Element(*r): m
             for r, m in zip(roots[:count].tolist(), mults[:count].tolist())}

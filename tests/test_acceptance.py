@@ -26,10 +26,12 @@ from ssig import (
     trace_formula,
     vertex_count,
 )
-from ssig.arith import Fp2, PolyFp2, roots_with_multiplicity
+from ssig import kernels
+from ssig.arith import Fp2
 from ssig.brandt import brandt_coprime_product, brandt_prime_power
 from ssig.ssgraph import SUPPORTED_ELLS, validate_modpoly_table
 from _residue_lists import NO_COMMON_23_RESIDUES, SIMPLE3_RESIDUES
+from _scalar_roots import horner
 
 
 def report(num, text):
@@ -191,19 +193,19 @@ def test_criterion_09_modpoly_and_root_finder():
         validate_modpoly_table(ell)
     for p in (13, 37):
         rng = random.Random(p)
-        F = Fp2(p)
+        c = Fp2(p).c
         for trial in range(50):
             deg = rng.randint(1, 8)
-            coeffs = [F.element(rng.randrange(p), rng.randrange(p))
-                      for _ in range(deg)]
-            coeffs.append(F.element(1 + rng.randrange(p - 1), rng.randrange(p)))
-            poly = PolyFp2(F, coeffs)
-            found = set(roots_with_multiplicity(poly, seed=trial))
+            coeffs = [(rng.randrange(p), rng.randrange(p)) for _ in range(deg)]
+            coeffs.append((1 + rng.randrange(p - 1), rng.randrange(p)))
+            batch = [coeffs + [(0, 0)] * (kernels.MAXD - deg)]
+            roots, _, counts = kernels.fp2_poly_roots(batch, [deg], p, c, trial)
+            found = {tuple(r) for r in roots[0, :counts[0]].tolist()}
             scan = {
-                x
+                (c0, c1)
                 for c0 in range(p)
                 for c1 in range(p)
-                if F.is_zero(poly(x := F.element(c0, c1)))
+                if horner(coeffs, c0, c1, p, c) == (0, 0)
             }
             assert found == scan
     report(9, "modular-polynomial self-checks and 100 root-finder scan "

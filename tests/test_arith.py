@@ -1,18 +1,14 @@
 import math
+import random
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from ssig.arith import (
-    DomainError,
-    Fp2,
-    Fp2Element,
-    PolyFp2,
-    factor,
-    is_prime,
-    kronecker,
-    roots_with_multiplicity,
-)
+from ssig import kernels
+from ssig.arith import DomainError, Fp2, Fp2Element, factor, is_prime, kronecker
+
+from _scalar_roots import _f2mul, _f2pow, horner
 
 
 def trial_division(n):
@@ -90,7 +86,23 @@ def F13():
 
 
 def elements(p):
-    return st.builds(Fp2Element, st.integers(0, p - 1), st.integers(0, p - 1))
+    return st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+
+
+def check_fp2_mul(a, b, c, F):
+    """kernels.fp2_mul on (..., 2) arrays of reduced values against the
+    scalar multiply, then the ring axioms it must obey."""
+    p = F.p
+
+    def mul(x, y):
+        return kernels.fp2_mul(x, y, p, F.c) % p
+
+    ab = mul(a, b)
+    assert ab.tolist() == [list(_f2mul(*x, *y, p, F.c))
+                           for x, y in zip(a.tolist(), b.tolist())]
+    assert np.array_equal(ab, mul(b, a))
+    assert np.array_equal(mul(ab, c), mul(a, mul(b, c)))
+    assert np.array_equal(mul(a, (b + c) % p), (ab + mul(a, c)) % p)
 
 
 class TestFp2:
@@ -100,89 +112,100 @@ class TestFp2:
 
     @given(a=elements(13), b=elements(13), c=elements(13))
     def test_ring_axioms(self, F13, a, b, c):
-        F = F13
-        assert F.mul(a, b) == F.mul(b, a)
-        assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-        assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-        assert F.add(a, F.neg(a)) == F.zero()
-        assert F.sub(a, b) == F.add(a, F.neg(b))
+        check_fp2_mul(*(np.array([x], np.int64) for x in (a, b, c)), F13)
 
-    @given(a=elements(13))
-    def test_inverse(self, F13, a):
-        if F13.is_zero(a):
-            with pytest.raises(DomainError):
-                F13.inv(a)
-        else:
-            assert F13.mul(a, F13.inv(a)) == F13.one()
+    def test_ring_axioms_at_int64_headroom(self):
+        # every reduced product at p = 2^31 - 1 is close to 2^62
+        F = Fp2(2**31 - 1)
+        rng = np.random.default_rng(0)
+        a, b, c = rng.integers(F.p - 1000, F.p, (3, 200, 2))
+        check_fp2_mul(a, b, c, F)
+        check_fp2_mul(*rng.integers(0, F.p, (3, 200, 2)), F)
 
-    @given(a=elements(13))
-    @settings(max_examples=20)
-    def test_multiplicative_order_divides_group_order(self, F13, a):
-        if not F13.is_zero(a):
-            assert F13.pow(a, 13 * 13 - 1) == F13.one()
-
-    def test_element_reduces(self, F13):
-        assert F13.element(-1, 14) == Fp2Element(12, 1)
+    def test_multiplicative_order_divides_group_order(self, F13):
+        # every nonzero element of F_13^2 at once, raised to 13^2 - 1 by
+        # square-and-multiply with kernels.fp2_mul
+        p, a = 13, all_field_elements(F13)[1:]
+        x, r = np.array(a, np.int64), np.array([[1, 0]] * len(a), np.int64)
+        e = p * p - 1
+        while e:
+            if e & 1:
+                r = kernels.fp2_mul(r, x, p, F13.c) % p
+            x = kernels.fp2_mul(x, x, p, F13.c) % p
+            e >>= 1
+        assert (r == (1, 0)).all()
+        assert all(_f2pow(*v, p * p - 1, p, F13.c) == (1, 0) for v in a)
 
     def test_str(self):
         assert str(Fp2Element(5, 0)) == "5+0*t"
 
 
 def all_field_elements(F):
-    return [Fp2Element(c0, c1) for c0 in range(F.p) for c1 in range(F.p)]
+    return [(c0, c1) for c1 in range(F.p) for c0 in range(F.p)]
 
 
-def exhaustive_roots(poly):
-    return {x for x in all_field_elements(poly.field) if poly.field.is_zero(poly(x))}
+def roots_of(coeffs, p, c, seed):
+    """Root-multiplicity map of one polynomial, given by its (c0, c1)
+    coefficients lowest degree first, from kernels.fp2_poly_roots on a
+    batch of one."""
+    arr = np.zeros((1, kernels.MAXD + 1, 2), np.int64)
+    arr[0, :len(coeffs)] = coeffs
+    roots, mults, counts = kernels.fp2_poly_roots(arr, [len(coeffs) - 1], p, c, seed)
+    return {tuple(r): m
+            for r, m in zip(roots[0, :counts[0]].tolist(), mults[0, :counts[0]].tolist())}
+
+
+def exhaustive_roots(coeffs, F):
+    return {x for x in all_field_elements(F) if horner(coeffs, *x, F.p, F.c) == (0, 0)}
+
+
+def times_linear(coeffs, r, p, c):
+    """The coefficients of f * (Y - r)."""
+    out = [(0, 0)] + coeffs
+    for k, coef in enumerate(coeffs):
+        r0, r1 = _f2mul(*r, *coef, p, c)
+        out[k] = ((out[k][0] - r0) % p, (out[k][1] - r1) % p)
+    return out
 
 
 class TestRootFinding:
     @pytest.mark.parametrize("p", [13, 37])
     def test_random_polynomials_match_exhaustive_scan(self, p):
-        import random
-
         rng = random.Random(p)
         F = Fp2(p)
         for trial in range(50):
             deg = rng.randint(1, 8)
-            coeffs = [F.element(rng.randrange(p), rng.randrange(p)) for _ in range(deg)]
-            coeffs.append(F.element(1 + rng.randrange(p - 1), rng.randrange(p)))
-            poly = PolyFp2(F, coeffs)
-            found = roots_with_multiplicity(poly, seed=trial)
-            assert set(found) == exhaustive_roots(poly)
+            coeffs = [(rng.randrange(p), rng.randrange(p)) for _ in range(deg)]
+            coeffs.append((1 + rng.randrange(p - 1), rng.randrange(p)))
+            found = roots_of(coeffs, p, F.c, seed=trial)
+            assert set(found) == exhaustive_roots(coeffs, F)
             assert all(m >= 1 for m in found.values())
-            assert sum(found.values()) <= poly.degree
+            assert sum(found.values()) <= deg
 
     def test_known_multiplicities_from_linear_factors(self):
-        import random
-
         rng = random.Random(7)
         F = Fp2(13)
         for trial in range(50):
             deg = rng.randint(1, 8)
-            picked = [F.element(rng.randrange(13), rng.randrange(13)) for _ in range(deg)]
+            picked = [(rng.randrange(13), rng.randrange(13)) for _ in range(deg)]
             expected = {}
-            poly = PolyFp2(F, [F.one()])
+            coeffs = [(1, 0)]
             for r in picked:
                 expected[r] = expected.get(r, 0) + 1
-                # multiply by (Y - r)
-                cs = [F.zero()] + poly.coeffs
-                for k, coef in enumerate(poly.coeffs):
-                    cs[k] = F.sub(cs[k], F.mul(r, coef))
-                poly = PolyFp2(F, cs)
-            assert roots_with_multiplicity(poly, seed=trial) == expected
+                coeffs = times_linear(coeffs, r, 13, F.c)
+            assert roots_of(coeffs, 13, F.c, seed=trial) == expected
 
     def test_seed_independence(self):
         F = Fp2(37)
-        poly = PolyFp2(F, [F.element(k * k + 1, k) for k in range(9)])
-        base = roots_with_multiplicity(poly, seed=0)
+        coeffs = [((k * k + 1) % 37, k) for k in range(9)]
+        base = roots_of(coeffs, 37, F.c, seed=0)
         for seed in (1, 2, 12345):
-            assert roots_with_multiplicity(poly, seed=seed) == base
+            assert roots_of(coeffs, 37, F.c, seed=seed) == base
 
     def test_degree_limits(self):
         F = Fp2(13)
-        with pytest.raises(DomainError):
-            roots_with_multiplicity(PolyFp2(F, []))
-        too_big = [F.one()] * 10
-        with pytest.raises(DomainError):
-            roots_with_multiplicity(PolyFp2(F, too_big))
+        with pytest.raises(DomainError, match="zero polynomial"):
+            roots_of([(0, 0)], 13, F.c, seed=0)
+        too_big = np.ones((1, kernels.MAXD + 2, 2), np.int64)
+        with pytest.raises(DomainError, match="degree at most 8"):
+            kernels.fp2_poly_roots(too_big, [kernels.MAXD + 1], 13, F.c, 0)

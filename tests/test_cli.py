@@ -2,8 +2,12 @@ import contextlib
 import gc
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +18,9 @@ from ssig.brandt import TheoremViolation, vertex_count
 from ssig import cli as cli_module
 from ssig.cli import cli, main
 from ssig.export import GraphCache
-from ssig.ssgraph import GRAPH_VERTEX_LIMIT, SUPPORTED_ELLS
+from ssig.ssgraph import GRAPH_VERTEX_LIMIT, SUPPORTED_ELLS, build_graph
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -170,7 +176,10 @@ class TestExitCodes:
         ["stats", "--p", "37", "--ell", "2", "--cache-dir", "{regular_file}"],
         ["sweep", "--max", "40", "--out", "{missing}/l.csv"],
     ])
-    def test_unwritable_paths_exit_2(self, argv, tmp_path, capsys):
+    def test_unwritable_paths_exit_2(self, argv, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli_module, "build_graph",
+                            lambda *args, **kw: built.append(args) or build_graph(*args, **kw))
         regular_file = tmp_path / "regular"
         regular_file.write_text("")
         argv = [a.format(missing=tmp_path / "missing", regular_file=regular_file)
@@ -179,6 +188,23 @@ class TestExitCodes:
             argv += ["--cache-dir", str(tmp_path / "cache")]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        if argv[0] == "sweep":
+            # the ledger is opened before the first graph is built
+            assert built == []
+
+    def test_overlay_of_ell_zero_exits_2(self, tmp_path, capsys):
+        assert main(["graph", "--p", "37", "--ell", "2", "--format", "dot", "--ell2", "0",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert "ell must be one of" in capsys.readouterr().err
+
+    def test_import_does_not_load_the_root_finder(self):
+        # batched_roots is imported on first use; with no bytecode cache its
+        # source compile would otherwise cost every command that builds no graph
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; sys.path.insert(0, 'src'); "
+             "import ssig, ssig.cli; print('ssig.batched_roots' in sys.modules)"],
+            cwd=ROOT, capture_output=True, text=True, timeout=60)
+        assert (run.returncode, run.stdout) == (0, "False\n"), run.stderr
 
     def test_biroute_prints_only_the_routes_run(self, tmp_path, capsys):
         argv = ["biroute", "--p", "109", "--ell1", "5", "--ell2", "7", "--r", "4",
@@ -269,8 +295,6 @@ TAMPERS = {
 
 class TestCacheRobustness:
     def test_damaged_cache_entry_is_rebuilt(self, runner, cache, tmp_path):
-        import os
-
         invoke(runner, "stats", "--p", "109", "--ell", "2", "--cache-dir", cache)
         (path,) = [os.path.join(cache, f) for f in os.listdir(cache)]
         with open(path, "w") as fh:

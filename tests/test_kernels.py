@@ -6,31 +6,34 @@ import numpy as np
 import pytest
 
 from ssig import batched_roots, kernels
-from ssig.arith import Fp2, Fp2Element, PolyFp2
+from ssig.arith import Fp2
 from ssig.brandt import TheoremViolation
 
+from _scalar_roots import _f2mul, _pdiv_linear, horner
 from _scalar_roots import _fp2_poly_roots_one as scalar_roots
 
 
 def random_batch(F, rng, rows):
     """Polynomials of every degree 1 to 8 in turn: a random monic cofactor
     times random linear factors, some repeated, times a unit."""
-    p = F.p
+    p, c = F.p, F.c
     coeffs = np.zeros((rows, kernels.MAXD + 1, 2), np.int64)
     degs = np.zeros(rows, np.int64)
     for i in range(rows):
         deg = 1 + i % kernels.MAXD
-        poly = PolyFp2(F, [F.element(rng.randrange(p), rng.randrange(p))
-                           for _ in range(rng.randint(0, deg - 1))] + [F.one()])
-        while poly.degree < deg:
-            r = F.element(rng.randrange(p), rng.randrange(p))
-            for _ in range(rng.randint(1, deg - poly.degree)):
-                cs = [F.zero()] + poly.coeffs
-                for k, coef in enumerate(poly.coeffs):
-                    cs[k] = F.sub(cs[k], F.mul(r, coef))
-                poly = PolyFp2(F, cs)
-        lead = F.element(1 + rng.randrange(p - 1), rng.randrange(p))
-        coeffs[i, :deg + 1] = [F.mul(lead, coef) for coef in poly.coeffs]
+        poly = [(rng.randrange(p), rng.randrange(p))
+                for _ in range(rng.randint(0, deg - 1))] + [(1, 0)]
+        while len(poly) <= deg:
+            r = (rng.randrange(p), rng.randrange(p))
+            for _ in range(rng.randint(1, deg + 1 - len(poly))):
+                # times (Y - r)
+                cs = [(0, 0)] + poly
+                for k, coef in enumerate(poly):
+                    r0, r1 = _f2mul(*r, *coef, p, c)
+                    cs[k] = ((cs[k][0] - r0) % p, (cs[k][1] - r1) % p)
+                poly = cs
+        lead = (1 + rng.randrange(p - 1), rng.randrange(p))
+        coeffs[i, :deg + 1] = [_f2mul(*lead, *coef, p, c) for coef in poly]
         degs[i] = deg
     return coeffs, degs
 
@@ -62,20 +65,14 @@ def test_int64_headroom_roots_checked_by_evaluation():
     maps = as_maps(*batched_roots.find_roots(coeffs, degs, p, F.c, seed=0))
     assert sum(len(m) for m in maps) > 12
     for row, deg, found in zip(coeffs, degs, maps):
-        poly = PolyFp2(F, [F.element(*c) for c in row[:deg + 1].tolist()])
         for root, mult in found.items():
-            root = F.element(*root)
             # divide (Y - root) out mult times; each division is exact and
             # the last quotient no longer vanishes at the root
-            quotient = poly
-            for _ in range(mult):
-                assert F.is_zero(quotient(root))
-                cs, acc = [], F.zero()
-                for coef in reversed(quotient.coeffs[1:]):
-                    acc = F.add(F.mul(acc, root), coef)
-                    cs.append(acc)
-                quotient = PolyFp2(F, cs[::-1])
-            assert not F.is_zero(quotient(root))
+            quotient = row.copy()
+            for d in range(deg, deg - mult, -1):
+                assert horner(quotient[:d + 1], *root, p, F.c) == (0, 0)
+                assert _pdiv_linear(quotient, d, *root, p, F.c) == 1
+            assert horner(quotient[:deg - mult + 1], *root, p, F.c) != (0, 0)
 
 
 def test_rows_without_roots_and_ignored_high_coefficients():
@@ -97,7 +94,7 @@ def all_of_fp2(p):
 
 
 def fp2_square(x, F):
-    return np.array([F.mul(a, a) for a in (Fp2Element(*v) for v in x.tolist())],
+    return np.array([_f2mul(*a, *a, F.p, F.c) for a in x.tolist()],
                     np.int64).reshape(-1, 2)
 
 

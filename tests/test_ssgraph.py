@@ -15,7 +15,7 @@ from ssig.ssgraph import (
     validate_modpoly_table,
 )
 
-from _scalar_roots import scalar_neighbors
+from _scalar_roots import scalar_neighbors, scalar_specialize
 
 
 class TestModpolyTable:
@@ -41,6 +41,16 @@ class TestSeed:
             find_supersingular_seed(11)
 
 
+class TestSpecialize:
+    @pytest.mark.parametrize("p", [109, 433])
+    @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
+    def test_matches_scalar_specialize_on_every_vertex(self, graphs, p, ell):
+        F = Fp2(p)
+        vertices = graphs(p, ell).vertices
+        expected = np.array([scalar_specialize(p, F.c, j, ell) for j in vertices])
+        assert np.array_equal(_specialize(F, _modpoly_matrix(ell, p), vertices), expected)
+
+
 class TestNeighbors:
     def test_out_degree(self):
         F = Fp2(109)
@@ -51,7 +61,8 @@ class TestNeighbors:
 
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
     def test_maps_match_scalar_kernel_on_object_specialization(self, graphs, ell):
-        # Phi_ell(j, Y) built with Fp2 objects, roots by the scalar kernel
+        # Phi_ell(j, Y) specialised by scalar powers of j, roots by the
+        # scalar kernel
         F = Fp2(109)
         for jval in graphs(109, ell).vertices:
             assert neighbors(F, jval, ell) == scalar_neighbors(F, jval, ell)
