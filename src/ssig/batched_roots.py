@@ -14,20 +14,20 @@ solved by its degree:
   square in F_p^2 gives no roots;
 - degree >= 3 goes through Cantor-Zassenhaus until every factor has
   degree <= 2, and its quadratic factors join the quadratic formula.  Its
-  powmods, Y^(p^2) and (Y + r)^((p^2 - 1)/2), run mod the undeflated
-  polynomial f, whose exponents every row shares, so each runs once for
-  all such rows of one degree of f: the latter once per splitting round,
-  with one random shift r for the batch.  The Frobenius map x -> x^p
-  mod f, a matrix per row, halves the squarings of both.  Gcds against
-  the residual and quotients run per row in Python ints.
+  powmods run mod the undeflated polynomial f, whose exponents every row
+  shares, so one chain of y = (Y + r)^((p - 1)/2) serves all such rows
+  of one degree of f and K shifts r at once.  From r = 0 comes Y^p, hence
+  the Frobenius map x -> x^p mod f, a matrix per row, and from each r a
+  first-round splitting element y^(p + 1) - 1; a later round has one
+  shift and one chain.  Gcds and quotients run per row in Python ints.
 
 Multiplicities come from one batched synthetic division pass over the
 undeflated polynomials, for known and new roots alike.
 
 A batch of polynomials is an int64 array of shape (G, d + 1, 2) and a
 batch of residues mod the batch an array of shape (G, d, 2), in the
-``kernels`` layout.  Every product of two reduced values is reduced mod
-p before it is summed, so every intermediate stays below 2^63 for
+``kernels`` layout.  A sum is of a few reduced values or of two products
+of them, as in ``fp2_mul``, so every intermediate stays below 2^63 for
 p < 2^31.
 """
 
@@ -102,7 +102,7 @@ def _fp2_sqrt(a, p, c):
     for x0, x1 in ((r[0], r[3]), (r[1], r[2])):
         x1 = np.where(x0 * x1 % p * 2 % p == a1, x1, -x1 % p)
         cand = np.stack([x0, x1], axis=1)
-        good = ~ok & (fp2_mul(cand, cand, p, c) % p == a).all(axis=1)
+        good = ~ok & (fp2_mul(cand, cand, p, c) == a).all(axis=1)
         x[good] = cand[good]
         ok |= good
     return x, ok
@@ -149,43 +149,52 @@ def _mulmod(a, b, high, p, c):
     return (full[:, :d] + folded) % p
 
 
-def _modulus_tables(f, p, c):
-    """(low, high, frob) for a batch f of monic polynomials of degree
-    d >= 2: Y^d = low, Y^(d + k) = high[:, k] for k < d - 1, and
-    Y^(i p) = frob[:, i] for i < d, all mod f."""
-    d = f.shape[1] - 1
-    low = -f[:, :d] % p
+def _modulus_tables(f, shifts, p, c):
+    """(low, high, frob, y) for a batch f of G monic polynomials of degree
+    d >= 2 and K shifts r_k, r_0 = 0: Y^d = low, Y^(d + k) = high[:, k] for
+    k < d - 1, Y^(i p) = frob[:, i] for i < d and, in one chain, y[k G + i]
+    = (Y + r_k)^((p - 1)/2), all mod f[i]; low and high are stacked K times."""
+    g, d = len(f), f.shape[1] - 1
+    low = np.tile(-f[:, :d] % p, (len(shifts), 1, 1))
     high = [low]
     for _ in range(d - 2):
         high.append(_times_y(high[-1], low, p, c))
     high = np.stack(high, axis=1)
-    frob = [np.zeros_like(low), _powmod_shift(low, high, (0, 0), p, p, c)]
+    y = _powmod_shift(low, high, np.repeat(shifts, g, axis=0), (p - 1) // 2, p, c)
+    yp = _times_y(_mulmod(y[:g], y[:g], high[:g], p, c), low[:g], p, c)  # Y^p = y_0^2 Y
+    frob = [np.zeros_like(yp), yp]
     frob[0][:, 0, 0] = 1
     for _ in range(d - 2):
-        frob.append(_mulmod(frob[-1], frob[1], high, p, c))
-    return low, high, np.stack(frob, axis=1)
+        frob.append(_mulmod(frob[-1], yp, high[:g], p, c))
+    return low, high, np.stack(frob, axis=1), y
 
 
 def _frobenius(x, frob, p, c):
     """x^p mod f.  Since t^p = -t, the p-th power of sum x_i Y^i is
     sum conj(x_i) Y^(i p), with conj(a0 + a1 t) = a0 - a1 t."""
-    conj = x.copy()
-    conj[..., 1] = -x[..., 1] % p
+    conj = x * (1, -1) % p
     return fp2_mul(conj[:, :, None], frob, p, c).sum(axis=1) % p
 
 
 def _powmod_shift(low, high, r, e, p, c):
-    """(Y + r)^e mod f, f given by its tables (low, high), for one shift
-    r = (r0, r1) and one exponent e >= 1 shared by the whole batch."""
-    r = np.array(r, np.int64)
+    """(Y + r)^e mod f, f given by its tables (low, high), for a shift r
+    per row, shape (G, 2), or one, shape (2,), and one exponent e >= 1."""
+    r = np.broadcast_to(np.asarray(r, np.int64), (len(low), 2))
     res = np.zeros(low.shape, np.int64)
     res[:, 0] = r
     res[:, 1, 0] = 1
     for bit in bin(e)[3:]:
         res = _mulmod(res, res, high, p, c)
         if bit == "1":
-            res = (_times_y(res, low, p, c) + fp2_mul(r, res, p, c)) % p
+            res = (_times_y(res, low, p, c) + fp2_mul(r[:, None], res, p, c)) % p
     return res
+
+
+def _splitting_elements(y, frob, high, p, c):
+    """(Y + r)^((p^2 - 1)/2) - 1 = y^(p + 1) - 1 for y = (Y + r)^((p - 1)/2)."""
+    w = _mulmod(_frobenius(y, frob, p, c), y, high, p, c)
+    w[:, 0, 0] -= 1
+    return w % p
 
 
 # One polynomial in Python ints: a list of (c0, c1) pairs, lowest degree
@@ -232,6 +241,17 @@ def _row_gcd(a, b, p, c):
     return a
 
 
+def _shifts(seed, p):
+    """The splitting rounds' shifts (r0, r1) of F_p^2: 0, then random ones
+    drawn from the seed."""
+    yield 0, 0
+    state = seed % 2147483646 + 1
+    while True:
+        r0 = _lcg(state)
+        state = _lcg(r0)
+        yield r0 % p, state % p
+
+
 def _split_residuals(f, deg, h, rows, p, c, seed):
     """Cantor-Zassenhaus on the residuals h[rows], all of degree >= 3, until
     every factor of their rational parts has degree <= 2: returns
@@ -239,56 +259,52 @@ def _split_residuals(f, deg, h, rows, p, c, seed):
     the quadratic factors g, which are left to the quadratic formula.
 
     Every powmod runs mod the row's undeflated f, one group per degree of
-    f: a factor g of the residual being split takes its
-    (Y + r)^((p^2 - 1)/2) mod g as the remainder mod g of that mod f, so
-    one powmod per row serves all its factors.
+    f, so one serves all the factors g of a row: (Y + r)^((p^2 - 1)/2)
+    mod g is the remainder mod g of that mod f.  The chain of
+    ``_modulus_tables`` gives the first K = 4 splitting elements, from
+    r = 0 and three random shifts; each later one takes its own powmod.
     """
-    # separable rational part of each residual: gcd(Y^(p^2) - Y, h)
-    factors = {}  # row -> factors of its rational part still to split
-    groups = []  # (rows, modulus tables) per degree of f
+    first = [r for r, _ in zip(_shifts(seed, p), range(4))]
+    factors = {}  # row -> factors of its rational part
+    groups = []  # (rows, tables, the first K splitting elements) per degree of f
     for d in sorted(set(deg[rows].tolist())):
         group = rows[deg[rows] == d]
-        low, high, frob = _modulus_tables(f[group, :d + 1], p, c)
+        low, high, frob, y = _modulus_tables(f[group, :d + 1], first, p, c)
+        ws = _splitting_elements(y, np.tile(frob, (len(first), 1, 1, 1)), high, p, c)
+        groups.append((group, low, high, frob, ws.reshape(len(first), -1, d, 2)))
+        # separable rational part of each residual: gcd(Y^(p^2) - Y, h)
         w = _frobenius(frob[:, 1], frob, p, c)
         w[:, 1, 0] -= 1
         w %= p
         for i, wi, hi in zip(group.tolist(), w.tolist(), h[group].tolist()):
             factors[i] = [_row_gcd(_row(wi), _row(hi), p, c)]
-        groups.append((group, low, high, frob))
 
-    # equal-degree splitting, one shared random shift per round
+    # equal-degree splitting, one shift per round shared by the batch: the
+    # first K rounds take their elements from the chain
     roots = {i: [] for i in factors}
     quadratics = {i: [] for i in factors}
-    state = seed % 2147483646 + 1
-    while True:
+    for rnd, r in enumerate(_shifts(seed, p)):
         for i, gs in factors.items():
             roots[i] += [(-g[0][0] % p, -g[0][1] % p) for g in gs if len(g) == 2]
             quadratics[i] += [g for g in gs if len(g) == 3]
             factors[i] = [g for g in gs if len(g) > 3]
         if not any(factors.values()):
             break
-        state = _lcg(state)
-        r0 = state % p
-        state = _lcg(state)
-        r1 = state % p
-        for group, low, high, frob in groups:
+        for group, low, high, frob, ws in groups:
             live = [k for k, i in enumerate(group.tolist()) if factors[i]]
             if not live:
                 continue
-            # (Y + r)^((p^2 - 1)/2) = y^(p + 1) with y = (Y + r)^((p - 1)/2)
-            y = _powmod_shift(low[live], high[live], (r0, r1), (p - 1) // 2, p, c)
-            w = _mulmod(_frobenius(y, frob[live], p, c), y, high[live], p, c)
-            w[:, 0, 0] -= 1
-            w %= p
-            for i, wi in zip(group[live].tolist(), w.tolist()):
-                wi = _row(wi)
+            if rnd < len(first):
+                w = ws[rnd, live]
+            else:
+                y = _powmod_shift(low[live], high[live], r, (p - 1) // 2, p, c)
+                w = _splitting_elements(y, frob[live], high[live], p, c)
+            for i, wi in zip(group[live].tolist(), map(_row, w.tolist())):
                 split = []
                 for g in factors[i]:
                     part = _row_gcd(_row_divmod(wi, g, p, c)[1], g, p, c)
-                    if 1 < len(part) < len(g):
-                        split += [part, _row_divmod(g, part, p, c)[0]]
-                    else:
-                        split.append(g)
+                    proper = 1 < len(part) < len(g)
+                    split += [part, _row_divmod(g, part, p, c)[0]] if proper else [g]
                 factors[i] = split
 
     def flat(parts, shape):
@@ -302,7 +318,7 @@ def _split_residuals(f, deg, h, rows, p, c, seed):
 def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     """``kernels.fp2_poly_roots``: known roots deflated, residuals of
     degree <= 2 solved in closed form and the rest by Cantor-Zassenhaus,
-    with one numpy powmod per round and degree."""
+    with one numpy powmod chain per round and degree of f."""
     n, width = coeffs.shape[:2]
     f = coeffs % p
     f[np.arange(width) > degs[:, None]] = 0
@@ -313,13 +329,12 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
         raise DomainError(f"row {np.argmax(deg < 0)} is the zero polynomial; "
                           "its roots are undefined")
     f = f[:, :max(deg.max(initial=0), 1) + 1]
-    lead = f[np.arange(n), np.maximum(deg, 0)]
-    lead[deg < 0] = (1, 0)
+    lead = f[np.arange(n), deg]
     if (lead != (1, 0)).any():
         # times the inverse of the leading coefficient, conj(a) / N(a)
         inv = _fp_pow((lead[:, 0] ** 2 - c * (lead[:, 1] ** 2 % p)) % p, p - 2, p)
         lead = np.stack([lead[:, 0] * inv % p, -lead[:, 1] * inv % p], axis=1)
-        f = fp2_mul(f, lead[:, None], p, c) % p
+        f = fp2_mul(f, lead[:, None], p, c)
 
     # deflation: divide each known root out once
     nk = np.zeros(n, np.int64) if known is None else known_counts

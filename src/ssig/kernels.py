@@ -27,15 +27,15 @@ def _lcg(state):
 
 
 def fp2_mul(a, b, p, c):
-    """a * b in F_p^2 for broadcastable (..., 2) arrays of reduced values;
-    each component is a sum of two reduced products, so below 2p."""
+    """a * b in F_p^2 for broadcastable (..., 2) arrays of reduced values,
+    itself reduced: each component is a sum of two products below p^2,
+    so below 2^63 for p < 2^31, and is reduced once."""
     a0, a1 = a[..., 0], a[..., 1]
     b0, b1 = b[..., 0], b[..., 1]
-    ca1 = c * a1 % p
-    real = a0 * b0 % p + ca1 * b1 % p
+    real = (a0 * b0 + c * a1 % p * b1) % p
     out = np.empty(real.shape + (2,), np.int64)
     out[..., 0] = real
-    out[..., 1] = a0 * b1 % p + a1 * b0 % p
+    out[..., 1] = (a0 * b1 + a1 * b0) % p
     return out
 
 

@@ -126,7 +126,7 @@ def _specialize(F, table, jvals):
     jpow = np.zeros((len(j), len(table), 2), dtype=np.int64)
     jpow[:, 0, 0] = 1
     for k in range(1, len(table)):
-        jpow[:, k] = kernels.fp2_mul(jpow[:, k - 1], j, F.p, F.c) % F.p
+        jpow[:, k] = kernels.fp2_mul(jpow[:, k - 1], j, F.p, F.c)
     coeffs = np.zeros((len(j), kernels.MAXD + 1, 2), dtype=np.int64)
     coeffs[:, :len(table)] = (
         jpow[:, :, None, :] * table[None, :, :, None] % F.p).sum(axis=1) % F.p

@@ -13,6 +13,15 @@ from _scalar_roots import _f2mul, _pdiv_linear, horner
 from _scalar_roots import _fp2_poly_roots_one as scalar_roots
 
 
+def times_linear(poly, r, F):
+    """poly * (Y - r) for a list of (c0, c1) coefficients, lowest first."""
+    cs = [(0, 0)] + poly
+    for k, coef in enumerate(poly):
+        r0, r1 = _f2mul(*r, *coef, F.p, F.c)
+        cs[k] = ((cs[k][0] - r0) % F.p, (cs[k][1] - r1) % F.p)
+    return cs
+
+
 def random_batch(F, rng, rows):
     """Polynomials of every degree 1 to 8 in turn: a random monic cofactor
     times random linear factors, some repeated, times a unit."""
@@ -26,12 +35,7 @@ def random_batch(F, rng, rows):
         while len(poly) <= deg:
             r = (rng.randrange(p), rng.randrange(p))
             for _ in range(rng.randint(1, deg + 1 - len(poly))):
-                # times (Y - r)
-                cs = [(0, 0)] + poly
-                for k, coef in enumerate(poly):
-                    r0, r1 = _f2mul(*r, *coef, p, c)
-                    cs[k] = ((cs[k][0] - r0) % p, (cs[k][1] - r1) % p)
-                poly = cs
+                poly = times_linear(poly, r, F)
         lead = (1 + rng.randrange(p - 1), rng.randrange(p))
         coeffs[i, :deg + 1] = [_f2mul(*lead, *coef, p, c) for coef in poly]
         degs[i] = deg
@@ -172,3 +176,29 @@ def test_quadratics_in_closed_form():
     assert as_maps(*kernels.fp2_poly_roots(coeffs, [2, 2, 2], 13, F.c, 0)) == [
         {(11, 0): 2}, {(0, 1): 1, (0, 12): 1}, {}]
 
+
+# Eight distinct roots in F_13^2 that the four shifts of the first
+# splitting round leave with a factor of degree >= 3 for every seed 0 to 3
+LATER_ROUND_ROOTS = [(0, 11), (1, 2), (1, 12), (2, 11), (3, 4), (4, 4), (6, 7), (8, 5)]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factors_left_by_the_first_round_split_in_later_rounds(seed, monkeypatch):
+    F = Fp2(13)
+    poly = [(1, 0)]
+    for r in LATER_ROUND_ROOTS:
+        poly = times_linear(poly, r, F)
+    coeffs = np.array([poly], np.int64)
+    chains = []
+    powmod = batched_roots._powmod_shift
+
+    def counted(low, *args):
+        chains.append(len(low))
+        return powmod(low, *args)
+
+    monkeypatch.setattr(batched_roots, "_powmod_shift", counted)
+    found = kernels.fp2_poly_roots(coeffs, [8], 13, F.c, seed)
+    # one chain for the four first-round shifts, then single-shift rounds
+    assert chains[0] == 4 and chains[1:] and set(chains[1:]) == {1}
+    assert as_maps(*found) == scalar_maps(coeffs, [8], F, seed) == [
+        dict.fromkeys(LATER_ROUND_ROOTS, 1)]

@@ -4,6 +4,7 @@ import pytest
 from ssig import kernels
 from ssig.arith import DomainError, Fp2, Fp2Element
 from ssig.brandt import TheoremViolation, trace_formula, vertex_count
+from ssig.export import graph_to_dict
 from ssig.ssgraph import (
     SUPPORTED_ELLS,
     _modpoly_matrix,
@@ -110,6 +111,16 @@ class TestBuildGraph:
         b = build_graph(109, 2, seed=99)
         assert a.vertices == b.vertices
         assert np.array_equal(a.adjacency, b.adjacency)
+
+    @pytest.mark.parametrize("p", [181, 433])
+    @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
+    def test_outputs_do_not_depend_on_the_splitting_seed(self, p, ell):
+        base = build_graph(p, ell, seed=0)
+        for seed in (1, 12345, 2**32 - 1):
+            g = build_graph(p, ell, seed=seed)
+            assert g.vertices == base.vertices
+            assert np.array_equal(g.adjacency, base.adjacency)
+            assert graph_to_dict(g) == graph_to_dict(base)
 
     def test_edge_count(self, graphs):
         g = graphs(109, 2)
