@@ -16,11 +16,8 @@ from .classnum import (
     is_fundamental,
 )
 from .brandt import (
-    BrandtMatrix,
     TheoremViolation,
-    brandt_coprime_product,
     brandt_powers,
-    brandt_prime_power,
     sigma_coprime,
     trace_formula,
     vertex_count,
@@ -56,7 +53,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BirouteReport",
-    "BrandtMatrix",
     "CongruenceClassSet",
     "DomainError",
     "Fp2",
@@ -70,9 +66,7 @@ __all__ = [
     "biroute",
     "biroute_bound",
     "biroute_bound_closed",
-    "brandt_coprime_product",
     "brandt_powers",
-    "brandt_prime_power",
     "build_graph",
     "class_number",
     "decompose",

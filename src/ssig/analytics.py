@@ -81,8 +81,8 @@ class BirouteReport:
 
 def graph_stats(g):
     """All loop/multi-edge statistics of a graph, with identities asserted."""
-    n = g.n
-    ell = g.ell
+    n, ell = g.n, g.ell
+    nbr = neighbour_table(g)  # refuses a table not symmetric or not regular
     i, k, mult = g.edges()
     loops = i == k
     loop_count = int(mult[loops].sum())
@@ -98,10 +98,9 @@ def graph_stats(g):
     re_loops = redundant_by_class(mult[loops])
 
     # Tr B(ell^2) from B(ell^2) = B(ell) B(ell) - ell I: entry (i, i) of the
-    # product is B(ell)[c, i] summed over the neighbours c of i, in a table
-    # that refuses a B(ell) not symmetric or not (ell+1)-regular.
-    nbr = neighbour_table(g.brandt())
-    trace_l2 = int(g.adjacency[nbr, np.arange(n)[:, None]].sum()) - ell * n
+    # product is B(ell)[c, i] summed over the neighbours c of i, and
+    # B(ell)[c, i] is how often i appears in row c of the table.
+    trace_l2 = int((nbr[nbr] == np.arange(n)[:, None, None]).sum()) - ell * n
     # decomposition of the trace excess over multiplicity classes
     decomposed = sum(2 * m * re for m, re in re_offdiag.items()) + sum(
         m * re for m, re in re_loops.items()
@@ -142,7 +141,7 @@ def intersection_number(g1, g2):
     """Number of common edges: sum over i <= j of min(B_ij(l1), B_ij(l2))."""
     _check_pair(g1, g2)
     i, k, m = g2.edges()
-    return int(np.minimum(m, g1.adjacency[i, k]).sum())
+    return int(np.minimum(m, g1.multiplicity(i, k)).sum())
 
 
 def edit_distance(g1, g2):
@@ -151,7 +150,7 @@ def edit_distance(g1, g2):
     value = g1.edge_count() + g2.edge_count() - 2 * intersection_number(g1, g2)
     # independent route: symmetric difference of edge multisets, as the
     # edges of each graph beyond those of the other at the same site
-    direct = sum(int(np.maximum(m - other.adjacency[i, k], 0).sum())
+    direct = sum(int(np.maximum(m - other.multiplicity(i, k), 0).sum())
                  for (i, k, m), other in ((g1.edges(), g2), (g2.edges(), g1)))
     if value != direct:
         raise TheoremViolation(
@@ -162,9 +161,8 @@ def edit_distance(g1, g2):
 
 def _cyclic_counts(g, amax):
     """C(ell^a) matrices for a = 1..amax: B(ell^a) - B(ell^(a-2))."""
-    powers = [m.entries for m in brandt_powers(g.brandt(), amax)]
-    # in place from the top, so powers[a - 2] is still B(ell^(a-2)) when
-    # read; powers[1] is the graph's own adjacency and is never written
+    powers = brandt_powers(g, amax)
+    # in place from the top, so powers[a - 2] is still B(ell^(a-2)) when read
     for a in range(amax, 1, -1):
         powers[a] -= powers[a - 2]
     return powers[1:]
@@ -213,9 +211,10 @@ def biroute(g1, g2, R, method="all"):
             for a2 in range(R):
                 total += int((c1[a1] * c2[a2]).sum())
         vals["definitional"] = total
+        del c1, c2  # so that the routes' powers are not held at once
     if method in ("telescoped", "all"):
-        P1 = [m.entries for m in brandt_powers(g1.brandt(), R)]
-        P2 = [m.entries for m in brandt_powers(g2.brandt(), R)]
+        P1 = brandt_powers(g1, R)
+        P2 = brandt_powers(g2, R)
 
         def tr(a, b):
             return int((P1[a] * P2[b]).sum())

@@ -1,7 +1,7 @@
-"""Brandt matrices from graph adjacency, and their traces via class numbers.
+"""Brandt matrices from neighbour tables, and their traces via class numbers.
 
 Two independent routes to the same traces: the Hecke-style matrix
-recurrences starting from adjacency, and the Hurwitz class-number trace
+recurrences starting from B(ell), and the Hurwitz class-number trace
 formula.  Tests and the verify command cross-validate them.
 """
 
@@ -29,107 +29,56 @@ def sigma_coprime(m, p):
     return total
 
 
-class BrandtMatrix:
-    """Square nonnegative integer matrix of degree m over a fixed vertex order."""
-
-    def __init__(self, degree, entries, vertex_order=None, check=True):
-        self.degree = degree
-        self.entries = np.asarray(entries, dtype=np.int64)
-        self.vertex_order = vertex_order
-        if check:
-            if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
-                raise DomainError("Brandt matrix must be square")
-            if (self.entries < 0).any():
-                raise DomainError("Brandt matrix entries must be nonnegative")
-
-    @property
-    def n(self):
-        return self.entries.shape[0]
-
-    def trace(self):
-        return int(np.trace(self.entries))
-
-    def row_sums(self):
-        return [int(s) for s in self.entries.sum(axis=1)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BrandtMatrix)
-            and self.degree == other.degree
-            and np.array_equal(self.entries, other.entries)
-        )
-
-
-def identity_matrix(n, vertex_order=None):
-    return BrandtMatrix(1, np.eye(n, dtype=np.int64), vertex_order)
-
-
-def neighbour_table(base):
-    """(n, ell+1) table of each vertex's neighbours, repeated by multiplicity."""
-    A = base.entries
-    ell = base.degree
-    if (A.sum(axis=1) != ell + 1).any():
+def neighbour_table(g):
+    """The (n, ell+1) neighbour table of ``g``, checked to be that of a
+    symmetric, (ell+1)-regular B(ell): rows of ell+1 entries in [0, n),
+    each sorted, and the keys k*n + i of the transposed entries, sorted,
+    equal to the row-major keys i*n + k."""
+    t, n, ell = g.table, g.n, g.ell
+    if t.shape != (n, ell + 1):
         raise DomainError(f"rows of B({ell}) must all sum to {ell + 1}")
-    if not np.array_equal(A, A.T):
+    if (t[:, 1:] < t[:, :-1]).any():
+        raise DomainError(f"rows of the neighbour table of B({ell}) must be sorted")
+    if (t[:, 0] < 0).any() or (t[:, -1] >= n).any():  # the rows are sorted
+        raise DomainError(f"neighbours in B({ell}) must lie in [0, {n})")
+    if not np.array_equal(np.sort((t * n + np.arange(n)[:, None]).ravel()), g.keys()):
         raise DomainError(f"B({ell}) must be symmetric")
-    rows, cols = np.nonzero(A)  # row-major, so each row's columns are contiguous
-    return np.repeat(cols, A[rows, cols]).reshape(base.n, ell + 1)
+    return t
 
 
-def brandt_powers(base, k):
-    """[B(1), B(ell), ..., B(ell^k)] from B(ell) by the Hecke recurrence.
+def brandt_powers(g, k):
+    """[B(1), B(ell), ..., B(ell^k)] of the graph ``g``, as n x n int64
+    arrays: B(ell) counted from the neighbour table, then the Hecke
+    recurrence B(ell^j) = B(ell) B(ell^(j-1)) - ell B(ell^(j-2)).
 
-    B(ell^j) = B(ell) B(ell^(j-1)) - ell B(ell^(j-2)).  B(ell) is
-    (ell+1)-regular, so the product is a gather over its neighbour table:
+    B(ell) is (ell+1)-regular, so the product is a gather over the table:
     row i of B(ell) M is the sum of the rows of M at the ell+1 neighbours
     of i, which costs O(n^2 ell) instead of O(n^3).  Every B(ell^j) is a
-    polynomial in the symmetric B(ell), so all of them are symmetric and
-    commute with it.
+    polynomial in the symmetric B(ell), so all of them are symmetric.
     """
     if k < 0:
         raise DomainError(f"exponent must be >= 0, got {k}")
-    ell = base.degree
+    ell = g.ell
     if not is_prime(ell):
         raise DomainError(f"base degree {ell} is not prime")
     if (ell ** (k + 1) - 1) // (ell - 1) > ENTRY_LIMIT:
         raise DomainError(f"entries of B({ell}^{k}) exceed the supported range")
-    powers = [identity_matrix(base.n, base.vertex_order)]
+    nbr, n = neighbour_table(g), g.n
+    powers = [np.eye(n, dtype=np.int64)]
     if k == 0:
         return powers
-    nbr = neighbour_table(base)
-    powers.append(base)
-    for j in range(2, k + 1):
-        cur = powers[-1].entries
+    powers.append(np.bincount(g.keys(), minlength=n * n).reshape(n, n))
+    for _ in range(2, k + 1):
+        cur = powers[-1]
         # one (n, n) gather at a time keeps the peak at O(n^2)
         nxt = cur[nbr[:, 0]]
         for c in range(1, ell + 1):
             nxt += cur[nbr[:, c]]
-        nxt -= ell * powers[-2].entries
+        nxt -= ell * powers[-2]
         if (nxt < 0).any():
             raise TheoremViolation("Brandt recurrence produced a negative entry")
-        powers.append(BrandtMatrix(ell**j, nxt, base.vertex_order, check=False))
+        powers.append(nxt)
     return powers
-
-
-def brandt_prime_power(base, k):
-    """B(ell^k) from B(ell): the last of ``brandt_powers(base, k)``."""
-    return brandt_powers(base, k)[-1]
-
-
-def brandt_coprime_product(a, b):
-    """B(m m') = B(m) B(m') for coprime degrees on the same vertex order."""
-    if math.gcd(a.degree, b.degree) != 1:
-        raise DomainError(f"degrees {a.degree}, {b.degree} are not coprime")
-    if a.n != b.n:
-        raise DomainError("vertex orders disagree")
-    if a.vertex_order is not None and b.vertex_order is not None:
-        if a.vertex_order != b.vertex_order:
-            raise DomainError("vertex orders disagree")
-    return BrandtMatrix(
-        a.degree * b.degree,
-        a.entries @ b.entries,
-        a.vertex_order or b.vertex_order,
-    )
 
 
 def check_trace_degree(m):

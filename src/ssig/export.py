@@ -8,7 +8,7 @@ import numpy as np
 
 from .arith import DomainError, Fp2, Fp2Element
 from .brandt import TheoremViolation
-from .ssgraph import IsogenyGraph, check_structure
+from .ssgraph import SUPPORTED_ELLS, IsogenyGraph, check_structure
 
 EXPORT_VERSION = 1
 
@@ -52,26 +52,37 @@ def graph_to_dict(g, stats=None):
 
 
 def graph_from_dict(doc):
+    """The graph of an export document; every edge record is checked
+    before any array is sized by it."""
     if doc.get("version") != EXPORT_VERSION:
         raise DomainError(f"unsupported export version {doc.get('version')}")
-    p = doc["p"]
+    p, ell = doc["p"], doc["ell"]
     F = Fp2(p)
     if F.c != doc["c"]:
         raise DomainError("field nonresidue in file disagrees with construction")
+    if ell not in SUPPORTED_ELLS:
+        raise DomainError(f"ell must be one of {SUPPORTED_ELLS}, got {ell}")
     records = doc["vertices"]
     if [v["index"] for v in records] != list(range(len(records))):
         raise DomainError("vertex records are not indexed 0..n-1 in order")
     vertices = [_parse_j(v["j"]) for v in records]
     n = len(vertices)
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    for e in doc["edges"]:
-        i, k, m = e["i"], e["j"], e["m"]
-        if not (0 <= i <= k < n and m > 0):
-            raise DomainError(f"edge {e} is not 0 <= i <= j < n with m > 0")
-        adjacency[i, k] = m
-        adjacency[k, i] = m
-    return IsogenyGraph(p=p, ell=doc["ell"], field=F, vertices=vertices,
-                        adjacency=adjacency)
+    edges = doc["edges"]
+    i, k, m = (np.array([e[f] for e in edges]) for f in "ijm")
+    if any(a.dtype != np.int64 or a.ndim != 1 for a in (i, k, m)):
+        raise DomainError("edge records must hold int64 integers")
+    bad = ((i < 0) | (k < i) | (k >= n) | (m < 1) | (m > ell + 1)).nonzero()[0]
+    if len(bad):
+        raise DomainError(f"edge {edges[bad[0]]} is not 0 <= i <= j < n "
+                          f"with 0 < m <= ell + 1 = {ell + 1}")
+    off = i != k  # a loop fills one row, an edge two
+    mult = np.concatenate((m, m[off]))
+    rows = np.repeat(np.concatenate((i, k[off])), mult)
+    cols = np.repeat(np.concatenate((k, i[off])), mult)
+    if (np.bincount(rows, minlength=n) != ell + 1).any():
+        raise DomainError(f"edge records do not give every vertex {ell + 1} neighbours")
+    table = cols[np.lexsort((cols, rows))].reshape(n, ell + 1)
+    return IsogenyGraph(p=p, ell=ell, field=F, vertices=vertices, table=table)
 
 
 def to_dot(g, overlay=None):

@@ -2,9 +2,10 @@
 
 Vertices are supersingular j-invariants found by BFS from a seed curve;
 edge multiplicities are root multiplicities of the classical modular
-polynomial specialized at a vertex.  The adjacency matrix is the Brandt
-matrix B(ell), and ``check_structure`` asserts every structural theorem
-about it, on each graph built and on each graph read from the cache.
+polynomial specialized at a vertex.  A graph is stored as its (n, ell+1)
+neighbour table, which holds the Brandt matrix B(ell) row by row, and
+``check_structure`` asserts every structural theorem about it, on each
+graph built and on each graph read from the cache.
 """
 
 from dataclasses import dataclass
@@ -13,13 +14,15 @@ import numpy as np
 
 from . import kernels
 from .arith import DomainError, Fp2, Fp2Element, is_prime
-from .brandt import BrandtMatrix, TheoremViolation, trace_formula, vertex_count
+from .brandt import TheoremViolation, neighbour_table, trace_formula, vertex_count
 from ._modpoly_data import MODULAR_POLYNOMIALS
 
 SUPPORTED_ELLS = (2, 3, 5, 7)
 
-# Largest vertex count of a graph, so that its dense int64 adjacency stays
-# within 2**29 bytes; larger p is refused before anything is allocated.
+# Largest vertex count of a graph; larger p is refused before anything is
+# allocated.  The graph is only its n x (ell+1) table, so the limit bounds
+# the build: at p = 98269 (n = 8189), ell = 7 takes 8.6 s of CPU and peaks
+# at 187 MB RSS, mostly the root finder's batch for the largest BFS layer.
 GRAPH_VERTEX_LIMIT = 8192
 
 
@@ -52,30 +55,42 @@ for _ell in SUPPORTED_ELLS:
 
 @dataclass
 class IsogenyGraph:
-    """Multigraph Lambda_p(ell): vertex list plus adjacency multiplicities."""
+    """Multigraph Lambda_p(ell): vertex list plus neighbour table, the
+    (n, ell+1) int64 array whose sorted row i lists the neighbours of
+    vertex i, an m-fold one m times: row i of B(ell), spelled out."""
 
     p: int
     ell: int
     field: Fp2
     vertices: list
-    adjacency: np.ndarray
+    table: np.ndarray
 
     @property
     def n(self):
         return len(self.vertices)
 
-    def brandt(self):
-        return BrandtMatrix(self.ell, self.adjacency, tuple(self.vertices))
+    def keys(self):
+        """Row-major keys i*n + k of the table, sorted as its rows are."""
+        return (np.arange(self.n)[:, None] * self.n + self.table).ravel()
+
+    def multiplicity(self, i, k):
+        """Multiplicity of the edge (i, k), elementwise over arrays."""
+        keys, q = self.keys(), i * self.n + k
+        return (np.searchsorted(keys, q, side="right")
+                - np.searchsorted(keys, q, side="left"))
 
     def trace(self):
-        return int(np.trace(self.adjacency))
+        return int(np.count_nonzero(self.table == np.arange(self.n)[:, None]))
 
     def edges(self):
         """Undirected edges as arrays (i, k, m) with i <= k, in row-major
         order; a loop is listed once."""
-        i, k = np.nonzero(self.adjacency)
+        keys = self.keys()
+        first = np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
+        mult = np.searchsorted(keys, keys[first], side="right") - first
+        i, k = np.divmod(keys[first], self.n)
         upper = i <= k
-        return i[upper], k[upper], self.adjacency[i[upper], k[upper]]
+        return i[upper], k[upper], mult[upper]
 
     def edge_count(self):
         """Undirected edge count, loops counted once."""
@@ -202,12 +217,12 @@ def build_graph(p, ell, seed=0):
     order = [seed_j]
     index = {seed_j: 0}
     earlier = {}  # next-layer vertex -> the j of its neighbours in this layer
-    adj_rows = []
-    while len(adj_rows) < len(order):
-        lo, hi = len(adj_rows), len(order)
+    bfs_rows = []  # BFS indices of each vertex's neighbours, with repetition
+    while len(bfs_rows) < len(order):
+        lo, hi = len(bfs_rows), len(order)
         known = [earlier.pop(i, ()) for i in range(lo, hi)]
         for u, nbrs in enumerate(_neighbor_maps(F, table, order[lo:hi], seed, known), lo):
-            row = {}
+            row = []
             for nb, mult in nbrs.items():
                 if nb not in index:
                     index[nb] = len(order)
@@ -215,19 +230,18 @@ def build_graph(p, ell, seed=0):
                 k = index[nb]
                 if k >= hi:
                     earlier.setdefault(k, []).append(order[u])
-                row[k] = mult
-            adj_rows.append(row)
-
-    n = len(order)
-    adjacency = np.zeros((n, n), dtype=np.int64)
-    for i, row in enumerate(adj_rows):
-        for k, mult in row.items():
-            adjacency[i, k] = mult
+                row += [k] * mult
+            bfs_rows.append(row)
 
     # canonical vertex order: lexicographic on (c1, c0)
+    n = len(order)
     perm = sorted(range(n), key=lambda i: (order[i].c1, order[i].c0))
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = np.arange(n)
+    nbr = rank[np.array(bfs_rows, dtype=np.int64)[perm]]
+    nbr.sort(axis=1)
     g = IsogenyGraph(p=p, ell=ell, field=F, vertices=[order[i] for i in perm],
-                     adjacency=adjacency[np.ix_(perm, perm)])
+                     table=nbr)
     check_structure(g)
     return g
 
@@ -235,9 +249,14 @@ def build_graph(p, ell, seed=0):
 def check_structure(g):
     """Raise ``TheoremViolation`` unless ``g`` is a well-formed Lambda_p(ell).
 
-    Every graph passes here, whether just built or read from the cache.
+    Every graph passes here, whether just built or read from the cache;
+    the neighbour table is checked first, as the trace is read off it.
     """
-    p, ell, A = g.p, g.ell, g.adjacency
+    p, ell = g.p, g.ell
+    try:
+        neighbour_table(g)
+    except DomainError as err:
+        raise TheoremViolation(f"p={p}, ell={ell}: {err}") from err
     keys = [(jv.c1, jv.c0) for jv in g.vertices]
     n_formula, trace = vertex_count(p), trace_formula(p, ell)
     checks = (
@@ -246,8 +265,6 @@ def check_structure(g):
          "a vertex coordinate lies outside [0, p)"),
         (all(a < b for a, b in zip(keys, keys[1:])),
          "vertices are not strictly increasing in (c1, c0) order"),
-        ((A.sum(axis=1) == ell + 1).all(), f"row sums are not ell+1 = {ell + 1}"),
-        (np.array_equal(A, A.T), "adjacency is not symmetric"),
         ((0, 0) not in keys and (0, 1728 % p) not in keys, "a vertex is j = 0 or 1728"),
         (g.trace() == trace, f"loop count {g.trace()} != trace formula {trace}"),
     )

@@ -10,11 +10,13 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ssig import (
     GraphProperty,
     biroute,
+    brandt_powers,
     build_graph,
     derive_congruences,
     edit_distance,
@@ -28,7 +30,6 @@ from ssig import (
 )
 from ssig import kernels
 from ssig.arith import Fp2
-from ssig.brandt import brandt_coprime_product, brandt_prime_power
 from ssig.ssgraph import SUPPORTED_ELLS, validate_modpoly_table
 from _residue_lists import NO_COMMON_23_RESIDUES, SIMPLE3_RESIDUES
 from _scalar_roots import horner
@@ -115,14 +116,14 @@ def test_criterion_04_p109_dossier(graphs):
 
 def test_criterion_05_trace_route_agreement(graphs):
     for p in (109, 193, 433, 1009, 2689):
-        b2 = graphs(p, 2).brandt()
-        b3 = graphs(p, 3).brandt()
-        assert b2.trace() == trace_formula(p, 2)
-        assert b3.trace() == trace_formula(p, 3)
-        assert brandt_prime_power(b2, 2).trace() == trace_formula(p, 4)
-        assert brandt_prime_power(b3, 2).trace() == trace_formula(p, 9)
-        assert brandt_coprime_product(b2, b3).trace() == trace_formula(p, 6)
-        assert trace_formula(p, 1) == vertex_count(p) == b2.n
+        _, b2, b4 = brandt_powers(graphs(p, 2), 2)
+        _, b3, b9 = brandt_powers(graphs(p, 3), 2)
+        assert np.trace(b2) == trace_formula(p, 2)
+        assert np.trace(b3) == trace_formula(p, 3)
+        assert np.trace(b4) == trace_formula(p, 4)
+        assert np.trace(b9) == trace_formula(p, 9)
+        assert np.trace(b2 @ b3) == trace_formula(p, 6)
+        assert trace_formula(p, 1) == vertex_count(p) == len(b2)
     report(5, "graph traces equal class-number traces for all five primes")
 
 

@@ -15,17 +15,19 @@ from ssig.analytics import (
     intersection_number,
 )
 from ssig.arith import DomainError, is_prime
-from ssig.brandt import brandt_prime_power, trace_formula
+from ssig.brandt import trace_formula
 from ssig.ssgraph import IsogenyGraph
+
+from _dense import dense
 
 ELLS = (2, 3, 5, 7)
 SMALL_PRIMES = [p for p in range(13, 400, 12) if is_prime(p)]
 
 
 def dense_stats(g):
-    """graph_stats' figures from the dense adjacency: triu/diag views, one
+    """graph_stats' figures from the dense B(ell): triu/diag views, one
     mask per multiplicity and Tr B(ell^2) from the full matrix B(ell^2)."""
-    A = g.adjacency
+    A = dense(g)
     diag, upper = np.diag(A), np.triu(A, 1)
 
     def pairs(x):
@@ -44,17 +46,17 @@ def dense_stats(g):
                             + np.maximum(diag - 1, 0).sum()),
         re_offdiag=re_offdiag,
         re_loops=re_loops,
-        trace_l2=brandt_prime_power(g.brandt(), 2).trace(),
+        trace_l2=int(np.trace(A @ A - g.ell * np.eye(g.n, dtype=np.int64))),
     )
 
 
 def dense_intersection(g1, g2):
-    m = np.minimum(g1.adjacency, g2.adjacency)
+    m = np.minimum(dense(g1), dense(g2))
     return int(np.triu(m, 1).sum() + np.diag(m).sum())
 
 
 def dense_edit_distance(g1, g2):
-    diff = np.abs(g1.adjacency - g2.adjacency)
+    diff = np.abs(dense(g1) - dense(g2))
     return int(np.triu(diff, 1).sum() + np.diag(diff).sum())
 
 
@@ -66,7 +68,7 @@ class TestAgainstDenseOracle:
             s = graph_stats(g)
             for field, want in dense_stats(g).items():
                 assert getattr(s, field) == want, (p, ell, field)
-            upper = np.triu(g.adjacency)
+            upper = np.triu(dense(g))
             rows, cols = np.nonzero(upper)
             i, k, m = g.edges()
             assert np.array_equal(i, rows) and np.array_equal(k, cols)
@@ -81,22 +83,24 @@ class TestAgainstDenseOracle:
                 assert edit_distance(a, b) == dense_edit_distance(a, b)
 
     def test_every_one_unit_asymmetric_move_raises(self, graphs):
-        """A[i, j] -= 1, A[i, k] += 1 keeps row sums but breaks symmetry;
-        graph_stats must refuse each such graph, check_structure aside."""
+        """One table entry j of row i moved to k != j keeps the row at
+        ell+1 entries but breaks symmetry; graph_stats must refuse each
+        such graph, check_structure aside."""
         g = graphs(109, 3)
         moves = 0
-        for i, j in zip(*np.nonzero(g.adjacency)):
-            for k in range(g.n):
-                if k == j:
-                    continue
-                A = g.adjacency.copy()
-                A[i, j] -= 1
-                A[i, k] += 1
-                bad = IsogenyGraph(p=g.p, ell=g.ell, field=g.field,
-                                   vertices=g.vertices, adjacency=A)
-                with pytest.raises(DomainError, match="symmetric"):
-                    graph_stats(bad)
-                moves += 1
+        for i, row in enumerate(g.table):
+            for j in np.unique(row):
+                for k in range(g.n):
+                    if k == j:
+                        continue
+                    table = g.table.copy()
+                    table[i, np.flatnonzero(row == j)[0]] = k
+                    table[i].sort()
+                    bad = IsogenyGraph(p=g.p, ell=g.ell, field=g.field,
+                                       vertices=g.vertices, table=table)
+                    with pytest.raises(DomainError, match="symmetric"):
+                        graph_stats(bad)
+                    moves += 1
         assert moves == 256
 
 

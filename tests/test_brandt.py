@@ -6,16 +6,15 @@ import pytest
 from ssig.arith import DomainError, is_prime
 from ssig.classnum import HURWITZ_D_LIMIT
 from ssig.brandt import (
-    BrandtMatrix,
     TheoremViolation,
-    brandt_coprime_product,
     brandt_powers,
-    brandt_prime_power,
-    identity_matrix,
     sigma_coprime,
     trace_formula,
     vertex_count,
 )
+from ssig.ssgraph import IsogenyGraph
+
+from _dense import dense
 
 
 class TestSigmaCoprime:
@@ -33,9 +32,8 @@ class TestSigmaCoprime:
 
     def test_row_sums_of_prime_powers(self, graphs):
         g = graphs(109, 2)
-        for k in range(4):
-            m = brandt_prime_power(g.brandt(), k)
-            assert set(m.row_sums()) == {sigma_coprime(2**k, 109)}
+        for k, m in enumerate(brandt_powers(g, 3)):
+            assert set(m.sum(axis=1).tolist()) == {sigma_coprime(2**k, 109)}
 
 
 class TestVertexCount:
@@ -76,9 +74,9 @@ class TestTraceFormula:
     def test_two_levels_of_p_in_the_conductor(self, graphs):
         # 4 * 9261 - 9^2 = 37^2 * 27, so the term is H_37(27), which is 0
         # because 37 splits in Q(sqrt(-3)); the matrices give the reference
-        a = brandt_prime_power(graphs(37, 3).brandt(), 3)
-        b = brandt_prime_power(graphs(37, 7).brandt(), 3)
-        assert trace_formula(37, 9261) == brandt_coprime_product(a, b).trace()
+        a = brandt_powers(graphs(37, 3), 3)[-1]
+        b = brandt_powers(graphs(37, 7), 3)[-1]
+        assert trace_formula(37, 9261) == np.trace(a @ b)
 
     def test_degree_one_gives_vertex_count(self):
         for p in (13, 37, 109, 193, 433, 1009):
@@ -99,58 +97,39 @@ class TestTraceFormula:
 @pytest.mark.parametrize("ell", [2, 3])
 class TestRouteAgreement:
     def test_prime_power_traces_match_formula(self, graphs, p, ell):
-        base = graphs(p, ell).brandt()
-        for k in range(4):
-            assert brandt_prime_power(base, k).trace() == trace_formula(p, ell**k)
+        for k, m in enumerate(brandt_powers(graphs(p, ell), 3)):
+            assert np.trace(m) == trace_formula(p, ell**k)
 
     def test_coprime_product_trace_matches_formula(self, graphs, p, ell):
         other = 5 if ell == 3 else 3
-        a = graphs(p, ell).brandt()
-        b = graphs(p, other).brandt()
-        assert brandt_coprime_product(a, b).trace() == trace_formula(p, ell * other)
+        a = brandt_powers(graphs(p, ell), 1)[1]
+        b = brandt_powers(graphs(p, other), 1)[1]
+        assert np.trace(a @ b) == trace_formula(p, ell * other)
 
     def test_entrywise_product_equals_mixed_trace(self, graphs, p, ell):
         other = 5 if ell == 3 else 3
-        a = graphs(p, ell).brandt().entries
-        b = graphs(p, other).brandt().entries
+        a = dense(graphs(p, ell))
+        b = dense(graphs(p, other))
         assert int((a * b).sum()) == trace_formula(p, ell * other)
 
 
 class TestBrandtMatrixAlgebra:
-    def test_identity(self):
-        m = identity_matrix(4)
-        assert m.trace() == 4
-        assert m.degree == 1
-
     def test_recurrence_base_cases(self, graphs):
-        base = graphs(109, 2).brandt()
-        assert brandt_prime_power(base, 0) == identity_matrix(9, base.vertex_order)
-        assert brandt_prime_power(base, 1) == base
+        g = graphs(109, 2)
+        (identity,) = brandt_powers(g, 0)
+        assert np.array_equal(identity, np.eye(9, dtype=np.int64))
+        assert np.array_equal(brandt_powers(g, 1)[1], dense(g))
 
     def test_symmetry_preserved(self, graphs):
-        base = graphs(109, 3).brandt()
-        m = brandt_prime_power(base, 3).entries
+        m = brandt_powers(graphs(109, 3), 3)[-1]
         assert np.array_equal(m, m.T)
 
-    def test_coprime_requires_coprime_degrees(self, graphs):
-        b = graphs(109, 2).brandt()
-        with pytest.raises(DomainError):
-            brandt_coprime_product(b, b)
-
-    def test_rejects_negative_entries(self):
-        with pytest.raises(DomainError):
-            BrandtMatrix(2, [[1, -1], [0, 1]])
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(DomainError):
-            BrandtMatrix(2, [[1, 2, 3]])
-
     def test_power_domain(self, graphs):
-        base = graphs(109, 2).brandt()
+        g = graphs(109, 2)
         with pytest.raises(DomainError):
-            brandt_prime_power(base, -1)
+            brandt_powers(g, -1)
         with pytest.raises(DomainError):
-            brandt_prime_power(base, 99)  # entries would leave int64 range
+            brandt_powers(g, 99)  # entries would leave int64 range
 
 
 def dense_powers(A, ell, k):
@@ -167,24 +146,27 @@ class TestGatherRecurrence:
         for p in range(13, 400, 12):
             if not is_prime(p):
                 continue
-            base = graphs(p, ell).brandt()
-            powers = brandt_powers(base, 4)
-            want = dense_powers(base.entries, ell, 4)
+            g = graphs(p, ell)
+            powers = brandt_powers(g, 4)
+            want = dense_powers(dense(g), ell, 4)
             assert len(powers) == 5
-            for k, (got, dense) in enumerate(zip(powers, want)):
-                assert got.degree == ell**k
-                assert np.array_equal(got.entries, dense), (p, ell, k)
-                assert got.trace() == trace_formula(p, ell**k), (p, ell, k)
-            assert brandt_prime_power(base, 4) == powers[-1]
+            for k, (got, oracle) in enumerate(zip(powers, want)):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, oracle), (p, ell, k)
+                assert (got.sum(axis=1) == sigma_coprime(ell**k, p)).all()
+                assert np.trace(got) == trace_formula(p, ell**k), (p, ell, k)
 
     def test_rejects_irregular_base(self, graphs):
-        A = graphs(109, 2).brandt().entries.copy()
-        A[0, 0] += 1
+        g = graphs(109, 2)
+        wide = IsogenyGraph(p=g.p, ell=g.ell, field=g.field, vertices=g.vertices,
+                            table=np.c_[g.table, np.arange(g.n)])  # ell + 2 neighbours
         with pytest.raises(DomainError, match="sum to 3"):
-            brandt_powers(BrandtMatrix(2, A), 2)
+            brandt_powers(wide, 2)
 
-    def test_rejects_asymmetric_base(self):
-        # rows sum to 3, but the matrix is not symmetric
-        A = np.array([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+    def test_rejects_asymmetric_base(self, graphs):
+        # rows [[1, 2, 0], [0, 1, 2], [2, 0, 1]] of B(2) sum to 3, but the
+        # matrix is not symmetric
+        g = IsogenyGraph(p=109, ell=2, field=None, vertices=[None] * 3,
+                         table=np.array([[0, 1, 1], [1, 2, 2], [0, 0, 2]]))
         with pytest.raises(DomainError, match="symmetric"):
-            brandt_powers(BrandtMatrix(2, A), 2)
+            brandt_powers(g, 2)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -13,11 +14,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ssig.arith import is_prime
+from ssig.arith import DomainError, is_prime
 from ssig.brandt import TheoremViolation, vertex_count
 from ssig import cli as cli_module
 from ssig.cli import cli, main
-from ssig.export import GraphCache
+from ssig.export import GraphCache, graph_from_dict, graph_to_dict
 from ssig.ssgraph import GRAPH_VERTEX_LIMIT, SUPPORTED_ELLS, build_graph
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -283,6 +284,10 @@ TAMPERS = {
     "j = 1728": _edit(lambda d: d["vertices"][0].update(j=f"{1728 % 37}+0*t")),
     "repeated vertex": _edit(lambda d: d["vertices"][2].update(j=d["vertices"][1]["j"])),
     "dropped edge": _edit(lambda d: d["edges"].pop()),
+    "duplicated edge record": _edit(lambda d: d["edges"].append(d["edges"][1])),
+    "multiplicity ell + 2": _edit(lambda d: d["edges"][3].update(m=4)),
+    # the same graph, so it loads; either way the outputs are a fresh build's
+    "unsorted edges list": _edit(lambda d: d["edges"].reverse()),
     # 3-regular, but with three loops where the trace formula gives one
     "regular, wrong loop count": _replace_graph(
         ["8+0*t", "3+10*t", "3+27*t"], [(i, k) for i in range(3) for k in range(i, 3)]),
@@ -338,4 +343,23 @@ class TestCacheRoundTrip:
             assert (loaded.p, loaded.ell) == (p, ell)
             assert loaded.field == built.field and loaded.field.c == built.field.c
             assert loaded.vertices == built.vertices
-            assert np.array_equal(loaded.adjacency, built.adjacency)
+            assert np.array_equal(loaded.table, built.table)
+            assert loaded.table.dtype == built.table.dtype == np.int64
+
+
+class TestGraphFromDict:
+    @pytest.mark.parametrize("field, value", [("ell", 10**9), ("m", 10**9)])
+    def test_huge_degree_or_multiplicity_is_refused_before_allocating(self, field, value):
+        doc = graph_to_dict(build_graph(37, 2))
+        if field == "ell":
+            doc["ell"] = value
+        else:
+            doc["edges"][0]["m"] = value
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError):
+                graph_from_dict(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

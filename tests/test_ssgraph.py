@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from ssig import kernels
+from ssig.analytics import graph_stats
 from ssig.arith import DomainError, Fp2, Fp2Element
-from ssig.brandt import TheoremViolation, trace_formula, vertex_count
+from ssig.brandt import TheoremViolation, brandt_powers, trace_formula, vertex_count
 from ssig.export import graph_to_dict
 from ssig.ssgraph import (
     SUPPORTED_ELLS,
+    IsogenyGraph,
     _modpoly_matrix,
     _neighbor_maps,
     _specialize,
     build_graph,
+    check_structure,
     find_supersingular_seed,
     neighbors,
     validate_modpoly_table,
 )
 
+from _dense import dense
 from _scalar_roots import scalar_neighbors, scalar_specialize
 
 
@@ -78,29 +82,31 @@ class TestBuildGraph:
     def test_p13_adjacency(self):
         g = build_graph(13, 2)
         assert g.n == 1
-        assert g.adjacency.tolist() == [[3]]
+        assert g.table.tolist() == [[0, 0, 0]]
+        assert dense(g).tolist() == [[3]]
 
     def test_p109_structure(self, graphs):
         for ell in (2, 3):
             g = graphs(109, ell)
             assert g.n == 9
-            assert (g.adjacency.sum(axis=1) == ell + 1).all()
-            assert np.array_equal(g.adjacency, g.adjacency.T)
+            A = dense(g)
+            assert (A.sum(axis=1) == ell + 1).all()
+            assert np.array_equal(A, A.T)
             assert g.trace() == trace_formula(109, ell)
 
     def test_p1009_simple(self, graphs):
         g = graphs(1009, 2)
         assert g.n == 84
         assert g.trace() == 0
-        assert int(g.adjacency.max()) == 1
+        assert int(dense(g).max()) == 1
 
     @pytest.mark.parametrize("ell", [5, 7])
     def test_larger_degrees(self, graphs, ell):
         g = graphs(109, ell)
         assert g.n == vertex_count(109)
-        assert (g.adjacency.sum(axis=1) == ell + 1).all()
+        assert (dense(g).sum(axis=1) == ell + 1).all()
         assert g.trace() == trace_formula(109, ell)
-        assert g.brandt().entries.T.tolist() == g.adjacency.tolist()
+        assert brandt_powers(g, 1)[1].T.tolist() == dense(g).tolist()
 
     def test_no_extra_automorphism_vertices(self, graphs):
         for jv in graphs(109, 2).vertices:
@@ -110,7 +116,7 @@ class TestBuildGraph:
         a = build_graph(109, 2, seed=0)
         b = build_graph(109, 2, seed=99)
         assert a.vertices == b.vertices
-        assert np.array_equal(a.adjacency, b.adjacency)
+        assert np.array_equal(a.table, b.table)
 
     @pytest.mark.parametrize("p", [181, 433])
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
@@ -119,8 +125,14 @@ class TestBuildGraph:
         for seed in (1, 12345, 2**32 - 1):
             g = build_graph(p, ell, seed=seed)
             assert g.vertices == base.vertices
-            assert np.array_equal(g.adjacency, base.adjacency)
+            assert np.array_equal(g.table, base.table)
             assert graph_to_dict(g) == graph_to_dict(base)
+
+    def test_multiplicity_reads_the_table(self, graphs):
+        for ell in SUPPORTED_ELLS:
+            g = graphs(433, ell)
+            i, k = np.divmod(np.arange(g.n * g.n), g.n)
+            assert np.array_equal(g.multiplicity(i, k).reshape(g.n, g.n), dense(g))
 
     def test_edge_count(self, graphs):
         g = graphs(109, 2)
@@ -134,6 +146,42 @@ class TestBuildGraph:
             build_graph(14, 2)  # not prime
         with pytest.raises(DomainError):
             build_graph(109, 11)  # unsupported degree
+
+
+def _with_table(g, table):
+    return IsogenyGraph(p=g.p, ell=g.ell, field=g.field, vertices=g.vertices,
+                        table=np.asarray(table, dtype=np.int64))
+
+
+class TestHandMadeTables:
+    """A table that is not a sorted (n, ell+1) table of vertex indices is
+    a theorem violation for check_structure and bad input for graph_stats."""
+
+    def tables(self, g):
+        """name -> (table, what the refusal says)"""
+        unsorted = g.table.copy()
+        unsorted[0] = unsorted[0][::-1]
+        past_n = g.table.copy()
+        past_n[0, -1] = g.n
+        return {"unsorted row": (unsorted, "must be sorted"),
+                "entry >= n": (past_n, r"must lie in \[0, 9\)"),
+                "narrow": (g.table[:, 1:], "must all sum to 4"),
+                "wide": (np.c_[g.table, g.table[:, :1]], "must all sum to 4")}
+
+    @pytest.mark.parametrize("name", ["unsorted row", "entry >= n", "narrow", "wide"])
+    def test_check_structure_and_graph_stats_refuse(self, graphs, name):
+        g = graphs(109, 3)
+        assert len(set(g.table[0].tolist())) > 1  # so reversing unsorts row 0
+        table, says = self.tables(g)[name]
+        bad = _with_table(g, table)
+        with pytest.raises(TheoremViolation, match=f"p=109, ell=3: .*{says}"):
+            check_structure(bad)
+        with pytest.raises(DomainError, match=says):
+            graph_stats(bad)
+
+    def test_genuine_table_passes(self, graphs):
+        g = graphs(109, 3)
+        check_structure(_with_table(g, g.table))
 
 
 class TestDeflatedRootFinder:
@@ -155,14 +203,14 @@ class TestDeflatedRootFinder:
                 adjacency[index[jval], index[nb]] = mult
         g = graphs(p, ell)
         assert g.vertices == vertices
-        assert np.array_equal(g.adjacency, adjacency)
+        assert np.array_equal(dense(g), adjacency)
 
     def test_planted_wrong_known_neighbour_raises(self, graphs):
         g = graphs(109, 3)
         F, table = g.field, _modpoly_matrix(3, 109)
         u, v = g.vertices[0], g.vertices[1]
-        right = [g.vertices[k] for k in np.flatnonzero(g.adjacency[1])]
-        wrong = next(jv for k, jv in enumerate(g.vertices) if g.adjacency[0, k] == 0)
+        right = [g.vertices[k] for k in np.unique(g.table[1])]
+        wrong = next(jv for k, jv in enumerate(g.vertices) if g.multiplicity(0, k) == 0)
         # the true neighbours deflate cleanly, in any slot
         maps = _neighbor_maps(F, table, [u, v], 0, [[], right[::-1]])
         assert maps == [neighbors(F, u, 3), neighbors(F, v, 3)]
