@@ -8,17 +8,10 @@ congruence conditions on p equivalent to structural graph properties.
 """
 
 from .arith import DomainError, Fp2, Fp2Element, is_prime, kronecker
-from .classnum import (
-    class_number,
-    decompose,
-    hurwitz,
-    hurwitz_modified,
-    is_fundamental,
-)
+from .classnum import decompose, hurwitz, hurwitz_modified
 from .brandt import (
     TheoremViolation,
     brandt_powers,
-    sigma_coprime,
     trace_formula,
     vertex_count,
 )
@@ -27,7 +20,6 @@ from .ssgraph import (
     IsogenyGraph,
     build_graph,
     find_supersingular_seed,
-    neighbors,
 )
 from .analytics import (
     BirouteReport,
@@ -68,7 +60,6 @@ __all__ = [
     "biroute_bound_closed",
     "brandt_powers",
     "build_graph",
-    "class_number",
     "decompose",
     "derive_congruences",
     "discriminant_set",
@@ -82,11 +73,8 @@ __all__ = [
     "hurwitz",
     "hurwitz_modified",
     "intersection_number",
-    "is_fundamental",
     "is_prime",
     "kronecker",
-    "neighbors",
-    "sigma_coprime",
     "to_dot",
     "trace_formula",
     "vertex_count",

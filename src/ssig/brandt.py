@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import DomainError, factor, is_prime
+from .arith import DomainError, is_prime
 from .classnum import HURWITZ_D_LIMIT, hurwitz_modified
 
 ENTRY_LIMIT = 1 << 40  # row sums above this risk int64 trouble downstream
@@ -18,15 +18,6 @@ ENTRY_LIMIT = 1 << 40  # row sums above this risk int64 trouble downstream
 
 class TheoremViolation(AssertionError):
     """An identity that is a theorem failed; indicates an internal bug."""
-
-
-def sigma_coprime(m, p):
-    """sum of divisors d of m with gcd(d, p) = 1 (the row sum of B(m))."""
-    total = 1
-    for q, e in factor(m):
-        if p % q:
-            total *= (q ** (e + 1) - 1) // (q - 1)
-    return total
 
 
 def neighbour_table(g):

@@ -1,6 +1,6 @@
-"""Class numbers of binary quadratic forms and Hurwitz class numbers.
+"""Hurwitz class numbers and the decomposition of a discriminant.
 
-All values are exact rationals; 24 * H(D) is always an integer.
+Hurwitz class numbers are exact rationals; 24 * H(D) is always an integer.
 """
 
 import math
@@ -16,66 +16,6 @@ from .arith import DomainError, factor, kronecker
 class DiscriminantDecomposition(NamedTuple):
     d_fund: int      # negative fundamental discriminant
     conductor: int   # f with d_fund * f^2 = -D
-
-
-def _check_discriminant(d):
-    if d >= 0 or d % 4 not in (0, 1):
-        raise DomainError(f"{d} is not a negative discriminant")
-
-
-def class_number(d):
-    """Number of reduced primitive binary quadratic forms of discriminant d.
-
-    Reduced: |b| <= a <= c with b >= 0 when |b| = a or a = c;
-    primitive: gcd(a, b, c) = 1; b^2 - 4ac = d.
-    """
-    _check_discriminant(d)
-    from math import gcd, isqrt
-
-    count = 0
-    a = 1
-    while 3 * a * a <= -d:
-        for b in range(-a, a + 1):
-            if (b - d) % 2 != 0:
-                continue
-            num = b * b - d
-            if num % (4 * a) != 0:
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (b == -a or a == c):
-                continue
-            if gcd(gcd(a, abs(b)), c) == 1:
-                count += 1
-        a += 1
-    return count
-
-
-def unit_factor(d):
-    """Half the number of units of the order of discriminant d."""
-    _check_discriminant(d)
-    if d == -3:
-        return 3
-    if d == -4:
-        return 2
-    return 1
-
-
-def is_fundamental(d):
-    """True for negative fundamental discriminants."""
-    if d >= 0:
-        return False
-    if d % 4 == 1:
-        return _squarefree(-d)
-    if d % 4 == 0:
-        q = d // 4
-        return q % 4 in (2, 3) and _squarefree(-q)
-    return False
-
-
-def _squarefree(n):
-    return all(e == 1 for _, e in factor(n))
 
 
 def decompose(D):

@@ -22,7 +22,7 @@ from .brandt import TheoremViolation, trace_formula
 from .classnum import hurwitz, hurwitz_modified
 from .congruence import GraphProperty, derive_congruences, find_first_prime
 from .export import GraphCache, graph_to_dict, to_dot
-from .ssgraph import build_graph
+from .ssgraph import build_graph, check_graph_args
 
 PROPERTY_NAMES = {
     "no-loops": "noLoops",
@@ -47,11 +47,11 @@ def cli():
     """Supersingular isogeny graph toolkit."""
 
 
-def _load_or_build(p, ell, cache_dir, seed):
+def _load_or_build(p, ell, cache_dir):
     cache = GraphCache(cache_dir)
     g = cache.load(p, ell)
     if g is None:
-        g = build_graph(p, ell, seed=seed)
+        g = build_graph(p, ell)
         cache.store(g)
     return g
 
@@ -68,8 +68,6 @@ def _properties(name, ells, undirected):
 
 
 cache_option = click.option("--cache-dir", default=None, help="graph cache directory")
-seed_option = click.option("--seed", default=0, show_default=True,
-                           help="seed for randomized root splitting")
 
 
 @cli.command()
@@ -79,17 +77,19 @@ seed_option = click.option("--seed", default=0, show_default=True,
 @click.option("--format", "fmt", type=click.Choice(["json", "dot"]), default="json")
 @click.option("--out", type=click.Path(), default=None)
 @cache_option
-@seed_option
-def graph(p, ell, ell2, fmt, out, cache_dir, seed):
+def graph(p, ell, ell2, fmt, out, cache_dir):
     """Build (or load cached) Lambda_p(ell) and export it."""
-    g = _load_or_build(p, ell, cache_dir, seed)
-    if fmt == "json":
-        if ell2 is not None:
+    check_graph_args(p, ell)
+    if ell2 is not None:
+        if fmt == "json":
             raise DomainError("--ell2 overlay is only available with --format dot")
+        check_graph_args(p, ell2)
+    g = _load_or_build(p, ell, cache_dir)
+    if fmt == "json":
         text = json.dumps(graph_to_dict(g, graph_stats(g)), indent=1, sort_keys=True)
         text += "\n"
     else:
-        overlay = None if ell2 is None else _load_or_build(p, ell2, cache_dir, seed)
+        overlay = None if ell2 is None else _load_or_build(p, ell2, cache_dir)
         text = to_dot(g, overlay)
     if out:
         with open(out, "w") as fh:
@@ -103,10 +103,9 @@ def graph(p, ell, ell2, fmt, out, cache_dir, seed):
 @click.option("--ell", type=int, required=True)
 @click.option("--json", "as_json", is_flag=True)
 @cache_option
-@seed_option
-def stats(p, ell, as_json, cache_dir, seed):
+def stats(p, ell, as_json, cache_dir):
     """Loop/multi-edge statistics of Lambda_p(ell)."""
-    g = _load_or_build(p, ell, cache_dir, seed)
+    g = _load_or_build(p, ell, cache_dir)
     s = graph_stats(g)
     if as_json:
         _echo(json.dumps({
@@ -187,11 +186,10 @@ def find_prime(prop_name, ells, ell2, undirected, start, cap):
 @click.option("--method", default="all", show_default=True,
               type=click.Choice(["definitional", "telescoped", "hurwitz", "all"]))
 @cache_option
-@seed_option
-def biroute_cmd(p, ell1, ell2, r, method, cache_dir, seed):
+def biroute_cmd(p, ell1, ell2, r, method, cache_dir):
     """R-th bi-route number by up to three independent routes."""
-    g1 = _load_or_build(p, ell1, cache_dir, seed)
-    g2 = _load_or_build(p, ell2, cache_dir, seed)
+    g1 = _load_or_build(p, ell1, cache_dir)
+    g2 = _load_or_build(p, ell2, cache_dir)
     rep = biroute(g1, g2, r, method=method)
     _echo(f"I_{p}({ell1},{ell2},{r}) = {rep.value}")
     for name, value in rep.routes():
@@ -204,19 +202,18 @@ def biroute_cmd(p, ell1, ell2, r, method, cache_dir, seed):
 @click.option("--ell1", type=int, required=True)
 @click.option("--ell2", type=int, required=True)
 @cache_option
-@seed_option
-def intersect(p, ell1, ell2, cache_dir, seed):
+def intersect(p, ell1, ell2, cache_dir):
     """Intersection number and edit distance of two graphs."""
-    g1 = _load_or_build(p, ell1, cache_dir, seed)
-    g2 = _load_or_build(p, ell2, cache_dir, seed)
+    g1 = _load_or_build(p, ell1, cache_dir)
+    g2 = _load_or_build(p, ell2, cache_dir)
     _echo(f"intersection {intersection_number(g1, g2)}")
     _echo(f"edit-distance {edit_distance(g1, g2)}")
 
 
-def _verify_one(p, ell, cache_dir, seed):
+def _verify_one(p, ell, cache_dir):
     """Full invariant suite for one (p, ell). Raises on violation."""
-    g = _load_or_build(p, ell, cache_dir, seed)  # check_structure has run
-    s = graph_stats(g)                           # asserts decomposition ids
+    g = _load_or_build(p, ell, cache_dir)  # check_structure has run
+    s = graph_stats(g)                     # asserts decomposition ids
     checks = []
     checks.append(("Tr B(ell^2) matches trace formula",
                    s.trace_l2 == trace_formula(p, ell * ell)))
@@ -235,10 +232,9 @@ def _verify_one(p, ell, cache_dir, seed):
 @click.option("--p", "p", type=int, required=True)
 @click.option("--ell", type=int, required=True)
 @cache_option
-@seed_option
-def verify(p, ell, cache_dir, seed):
+def verify(p, ell, cache_dir):
     """Run the full invariant suite for one graph."""
-    _verify_one(p, ell, cache_dir, seed)
+    _verify_one(p, ell, cache_dir)
     _echo(f"p={p} ell={ell}: all invariants hold")
 
 
@@ -248,21 +244,26 @@ def verify(p, ell, cache_dir, seed):
               show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="CSV ledger path")
 @cache_option
-@seed_option
-def sweep(pmax, ells, out, cache_dir, seed):
+def sweep(pmax, ells, out, cache_dir):
     """Verify every prime p = 1 mod 12 up to --max; emit a CSV ledger."""
-    # opened first, so that an unwritable --out fails before any graph is built
+    # opened first, and every (p, ell) checked next, so that an unwritable
+    # --out or a p past GRAPH_VERTEX_LIMIT fails before any graph is built;
+    # the check stops at the first bad pair, not after listing the range
     writer_target = open(out, "w", newline="") if out else sys.stdout
     try:
-        rows = []
+        pairs = []
         for p in range(13, pmax + 1, 12):
             if not is_prime(p):
                 continue
             for ell in ells:
                 if p == ell:
                     continue
-                _, s = _verify_one(p, ell, cache_dir, seed)
-                rows.append([p, ell, s.n, s.loop_count, s.redundant_edges, "yes"])
+                check_graph_args(p, ell)
+                pairs.append((p, ell))
+        rows = []
+        for p, ell in pairs:
+            _, s = _verify_one(p, ell, cache_dir)
+            rows.append([p, ell, s.n, s.loop_count, s.redundant_edges, "yes"])
         writer = csv.writer(writer_target)
         writer.writerow(["p", "ell", "n", "loops", "redundant", "trace_checks_passed"])
         writer.writerows(rows)

@@ -1,4 +1,4 @@
-"""Hot integer kernels: the batched F_p^2 root finder and curve point counts.
+"""Hot integer kernels: the batched F_p^2 root finder and the seed scan.
 
 ``fp2_poly_roots`` finds the roots of a whole batch of polynomials, and
 ``build_graph`` calls it once per BFS layer, passing for every vertex
@@ -6,7 +6,8 @@ the neighbours found in earlier layers as known roots.  The work is done
 by the vectorized numpy root finder of ``batched_roots``: it divides the
 known roots out and solves a residual of degree <= 2 in closed form, so
 that only residuals of degree >= 3 need Cantor-Zassenhaus.  The seed
-scan and the point count are numpy sums of the quadratic character.
+scan counts the points of each candidate curve by a numpy sum of the
+quadratic character.
 
 F_p^2 is F_p[t]/(t^2 - c); an element is the int64 pair (c0, c1) meaning
 c0 + c1*t, and ``fp2_mul`` is the one multiply on it, on whole arrays.
@@ -78,12 +79,6 @@ def _chi_table(p):
     chi[x[1:] * x[1:] % p] = 1
     chi[0] = 0
     return x, chi
-
-
-def curve_trace_sum(p, a, b):
-    """sum_x chi(x^3 + a x + b); the curve has p + 1 + sum points."""
-    x, chi = _chi_table(p)
-    return int(chi[(x * x % p * x % p + (a % p) * x + b % p) % p].sum())
 
 
 def supersingular_scan(p):

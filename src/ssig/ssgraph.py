@@ -124,6 +124,16 @@ def _check_graph_prime(p):
                           f"GRAPH_VERTEX_LIMIT = {GRAPH_VERTEX_LIMIT}")
 
 
+def check_graph_args(p, ell):
+    """Raise ``DomainError`` unless ``build_graph(p, ell)`` accepts (p, ell);
+    costs no more than a primality test."""
+    _check_graph_prime(p)
+    if ell not in SUPPORTED_ELLS:
+        raise DomainError(f"ell must be one of {SUPPORTED_ELLS}, got {ell}")
+    if p == ell:
+        raise DomainError("ell must differ from p")
+
+
 def _modpoly_matrix(ell, p):
     """Phi_ell mod p as an (ell + 2, ell + 2) matrix indexed [X power, Y power]."""
     table = np.zeros((ell + 2, ell + 2), dtype=np.int64)
@@ -188,11 +198,6 @@ def _neighbor_maps(F, table, jvals, seed, known):
     return maps
 
 
-def neighbors(F, jval, ell, seed=0):
-    """Multiset of neighboring j-invariants, as a root-multiplicity map."""
-    return _neighbor_maps(F, _modpoly_matrix(ell, F.p), [jval], seed, [()])[0]
-
-
 def build_graph(p, ell, seed=0):
     """Construct Lambda_p(ell) by BFS and verify all structural theorems.
 
@@ -206,11 +211,7 @@ def build_graph(p, ell, seed=0):
     Phi_ell(j', Y), so the symmetry check of ``check_structure`` does not
     rest on the symmetry used here.
     """
-    _check_graph_prime(p)
-    if ell not in SUPPORTED_ELLS:
-        raise DomainError(f"ell must be one of {SUPPORTED_ELLS}, got {ell}")
-    if p == ell:
-        raise DomainError("ell must differ from p")
+    check_graph_args(p, ell)
     F = Fp2(p)
     table = _modpoly_matrix(ell, p)
     seed_j = find_supersingular_seed(p)

@@ -1,0 +1,92 @@
+"""Brute-force oracles that only the tests call.
+
+No command or library path of ``ssig`` runs these: the class number of a
+discriminant by enumerating reduced forms one at a time, the unit factor,
+fundamentality, the row sum of B(m), a curve's point-count sum, and the
+neighbours of one j-invariant.  The tests compare the package's routes
+with them.
+"""
+
+from ssig.arith import DomainError, factor
+from ssig.kernels import _chi_table
+from ssig.ssgraph import _modpoly_matrix, _neighbor_maps
+
+
+def _check_discriminant(d):
+    if d >= 0 or d % 4 not in (0, 1):
+        raise DomainError(f"{d} is not a negative discriminant")
+
+
+def class_number(d):
+    """Number of reduced primitive binary quadratic forms of discriminant d.
+
+    Reduced: |b| <= a <= c with b >= 0 when |b| = a or a = c;
+    primitive: gcd(a, b, c) = 1; b^2 - 4ac = d.
+    """
+    _check_discriminant(d)
+    from math import gcd, isqrt
+
+    count = 0
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a, a + 1):
+            if (b - d) % 2 != 0:
+                continue
+            num = b * b - d
+            if num % (4 * a) != 0:
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (b == -a or a == c):
+                continue
+            if gcd(gcd(a, abs(b)), c) == 1:
+                count += 1
+        a += 1
+    return count
+
+
+def unit_factor(d):
+    """Half the number of units of the order of discriminant d."""
+    _check_discriminant(d)
+    if d == -3:
+        return 3
+    if d == -4:
+        return 2
+    return 1
+
+
+def is_fundamental(d):
+    """True for negative fundamental discriminants."""
+    if d >= 0:
+        return False
+    if d % 4 == 1:
+        return _squarefree(-d)
+    if d % 4 == 0:
+        q = d // 4
+        return q % 4 in (2, 3) and _squarefree(-q)
+    return False
+
+
+def _squarefree(n):
+    return all(e == 1 for _, e in factor(n))
+
+
+def sigma_coprime(m, p):
+    """sum of divisors d of m with gcd(d, p) = 1 (the row sum of B(m))."""
+    total = 1
+    for q, e in factor(m):
+        if p % q:
+            total *= (q ** (e + 1) - 1) // (q - 1)
+    return total
+
+
+def curve_trace_sum(p, a, b):
+    """sum_x chi(x^3 + a x + b); the curve has p + 1 + sum points."""
+    x, chi = _chi_table(p)
+    return int(chi[(x * x % p * x % p + (a % p) * x + b % p) % p].sum())
+
+
+def neighbors(F, jval, ell, seed=0):
+    """Multiset of neighboring j-invariants, as a root-multiplicity map."""
+    return _neighbor_maps(F, _modpoly_matrix(ell, F.p), [jval], seed, [()])[0]

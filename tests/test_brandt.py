@@ -5,16 +5,11 @@ import pytest
 
 from ssig.arith import DomainError, is_prime
 from ssig.classnum import HURWITZ_D_LIMIT
-from ssig.brandt import (
-    TheoremViolation,
-    brandt_powers,
-    sigma_coprime,
-    trace_formula,
-    vertex_count,
-)
+from ssig.brandt import TheoremViolation, brandt_powers, trace_formula, vertex_count
 from ssig.ssgraph import IsogenyGraph
 
 from _dense import dense
+from _oracles import sigma_coprime
 
 
 class TestSigmaCoprime:

@@ -8,13 +8,12 @@ from ssig.arith import DomainError, kronecker
 from ssig.classnum import (
     HURWITZ_D_LIMIT,
     _isqrt_array,
-    class_number,
     decompose,
     hurwitz,
     hurwitz_modified,
-    is_fundamental,
-    unit_factor,
 )
+
+from _oracles import class_number, is_fundamental, unit_factor
 
 
 class TestClassNumber:

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import ssig
+from ssig import brandt, classnum, kernels, ssgraph
 from ssig.arith import DomainError, is_prime
 from ssig.brandt import TheoremViolation, vertex_count
 from ssig import cli as cli_module
@@ -193,6 +195,31 @@ class TestExitCodes:
             # the ledger is opened before the first graph is built
             assert built == []
 
+    def test_sweep_past_the_vertex_limit_exits_2_before_any_build(
+            self, tmp_path, capsys, monkeypatch):
+        verified = []
+        monkeypatch.setattr(cli_module, "_verify_one",
+                            lambda *args: verified.append(args))
+        start = time.process_time()
+        assert main(["sweep", "--max", "98317", "--cache-dir", str(tmp_path)]) == 2
+        assert time.process_time() - start < 5
+        assert "GRAPH_VERTEX_LIMIT" in capsys.readouterr().err
+        assert verified == []
+
+    @pytest.mark.parametrize("p, message", [
+        ("193", "--ell2 overlay is only available with --format dot"),
+        ("25", "25 is not prime"),
+    ], ids=["flag", "p"])
+    def test_json_overlay_exits_2_before_any_build(self, p, message, tmp_path,
+                                                   capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli_module, "build_graph",
+                            lambda *args, **kw: built.append(args))
+        assert main(["graph", "--p", p, "--ell", "2", "--ell2", "3",
+                     "--cache-dir", str(tmp_path / "fresh")]) == 2
+        assert message in capsys.readouterr().err
+        assert built == []
+
     def test_overlay_of_ell_zero_exits_2(self, tmp_path, capsys):
         assert main(["graph", "--p", "37", "--ell", "2", "--format", "dot", "--ell2", "0",
                      "--cache-dir", str(tmp_path)]) == 2
@@ -239,6 +266,26 @@ class TestExitCodes:
         code = main(["verify", "--p", "109", "--ell", "2",
                      "--cache-dir", str(tmp_path / "c")])
         assert code == 3
+
+
+MOVED_TO_ORACLES = ("class_number", "unit_factor", "is_fundamental", "_squarefree",
+                    "_check_discriminant", "sigma_coprime", "curve_trace_sum",
+                    "neighbors")
+
+
+class TestPublicSurface:
+    def test_every_exported_name_resolves(self):
+        assert [name for name in ssig.__all__ if not hasattr(ssig, name)] == []
+
+    def test_oracles_are_not_in_the_package(self):
+        left = [(module.__name__, name)
+                for module in (ssig, classnum, brandt, kernels, ssgraph)
+                for name in MOVED_TO_ORACLES if hasattr(module, name)]
+        assert left == []
+
+    def test_seed_option_is_gone(self, capsys):
+        assert main(["verify", "--p", "13", "--ell", "2", "--seed", "1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 def _edit(change):
