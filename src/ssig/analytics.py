@@ -19,6 +19,7 @@ from .brandt import (
     check_trace_degree,
     neighbour_table,
     trace_formula,
+    vertex_count,
 )
 
 # Bytes the matrix routes of biroute may hold: each keeps 2 (R+1) dense
@@ -39,6 +40,14 @@ class GraphStats:
     is_simple: bool
     trace_l: int
     trace_l2: int
+
+    def as_dict(self):
+        """The counts under their JSON names, as ``stats --json`` and
+        ``graph --format json`` print them."""
+        return {"n": self.n, "loops": self.loop_count,
+                "multi_edge_pairs": self.multi_edge_pair_count,
+                "redundant_edges": self.redundant_edges, "is_simple": self.is_simple,
+                "trace_l": self.trace_l, "trace_l2": self.trace_l2}
 
     def loop_bound(self):
         return 2 * self.ell
@@ -168,6 +177,26 @@ def _cyclic_counts(g, amax):
     return powers[1:]
 
 
+def check_biroute_args(p, ell1, ell2, R, method="all"):
+    """Raise ``DomainError`` unless ``biroute`` accepts these arguments for
+    graphs over p, which need not be built yet."""
+    if ell1 == ell2:
+        raise DomainError("bi-route number needs two distinct primes ell")
+    if not 1 <= R <= 5:
+        raise DomainError(f"R must be in [1, 5], got {R}")
+    if method not in ("definitional", "telescoped", "hurwitz", "all"):
+        raise DomainError(f"unknown method {method!r}")
+    if method in ("hurwitz", "all"):
+        check_trace_degree((ell1 * ell2) ** R)
+    n = vertex_count(p)
+    held = 2 * (R + 1) * n * n * 8
+    if method != "hurwitz" and held > BIROUTE_BYTES_LIMIT:
+        raise DomainError(
+            f"matrix routes would hold {held} bytes of Brandt powers (n={n}, "
+            f"R={R}), above BIROUTE_BYTES_LIMIT = {BIROUTE_BYTES_LIMIT}"
+        )
+
+
 def biroute(g1, g2, R, method="all"):
     """R-th bi-route number of two isogeny graphs over the same prime.
 
@@ -181,27 +210,11 @@ def biroute(g1, g2, R, method="all"):
 
     Each matrix route computes its own Brandt powers.  Inputs for which a
     matrix route would hold more than BIROUTE_BYTES_LIMIT bytes of them
-    are rejected before any route runs.
+    are rejected by ``check_biroute_args`` before any route runs.
     """
     _check_pair(g1, g2)
-    if g1.ell == g2.ell:
-        raise DomainError("bi-route number needs two distinct primes ell")
-    if not 1 <= R <= 5:
-        raise DomainError(f"R must be in [1, 5], got {R}")
-    if method not in ("definitional", "telescoped", "hurwitz", "all"):
-        raise DomainError(f"unknown method {method!r}")
-    p = g1.p
-    l1, l2 = g1.ell, g2.ell
-    n = g1.n
-    if method in ("hurwitz", "all"):
-        check_trace_degree((l1 * l2) ** R)  # before any route does work
-    held = 2 * (R + 1) * n * n * 8
-    if method != "hurwitz" and held > BIROUTE_BYTES_LIMIT:
-        raise DomainError(
-            f"matrix routes would hold {held} bytes of Brandt powers (n={n}, "
-            f"R={R}), above BIROUTE_BYTES_LIMIT = {BIROUTE_BYTES_LIMIT}"
-        )
-
+    p, l1, l2, n = g1.p, g1.ell, g2.ell, g1.n
+    check_biroute_args(p, l1, l2, R, method)  # before any route does work
     vals = {}
     if method in ("definitional", "all"):
         c1 = _cyclic_counts(g1, R)

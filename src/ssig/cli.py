@@ -14,6 +14,7 @@ import click
 from .arith import DomainError, is_prime
 from .analytics import (
     biroute,
+    check_biroute_args,
     edit_distance,
     graph_stats,
     intersection_number,
@@ -108,13 +109,7 @@ def stats(p, ell, as_json, cache_dir):
     g = _load_or_build(p, ell, cache_dir)
     s = graph_stats(g)
     if as_json:
-        _echo(json.dumps({
-            "p": s.p, "ell": s.ell, "n": s.n, "loops": s.loop_count,
-            "multi_edge_pairs": s.multi_edge_pair_count,
-            "redundant_edges": s.redundant_edges,
-            "is_simple": s.is_simple,
-            "trace_l": s.trace_l, "trace_l2": s.trace_l2,
-        }, sort_keys=True))
+        _echo(json.dumps({"p": s.p, "ell": s.ell, **s.as_dict()}, sort_keys=True))
         return
     _echo(f"p = {s.p}, ell = {s.ell}")
     _echo(f"vertices          {s.n}")
@@ -188,6 +183,9 @@ def find_prime(prop_name, ells, ell2, undirected, start, cap):
 @cache_option
 def biroute_cmd(p, ell1, ell2, r, method, cache_dir):
     """R-th bi-route number by up to three independent routes."""
+    check_graph_args(p, ell1)
+    check_graph_args(p, ell2)
+    check_biroute_args(p, ell1, ell2, r, method)  # before any graph is built
     g1 = _load_or_build(p, ell1, cache_dir)
     g2 = _load_or_build(p, ell2, cache_dir)
     rep = biroute(g1, g2, r, method=method)

@@ -13,10 +13,6 @@ from .ssgraph import SUPPORTED_ELLS, IsogenyGraph, check_structure
 EXPORT_VERSION = 1
 
 
-def _format_j(jv):
-    return f"{jv.c0}+{jv.c1}*t"
-
-
 def _parse_j(text):
     a, b = text.split("+")
     return Fp2Element(int(a), int(b.rstrip("*t")))
@@ -34,20 +30,12 @@ def graph_to_dict(g, stats=None):
         "ell": g.ell,
         "c": g.field.c,
         "vertices": [
-            {"index": i, "j": _format_j(jv)} for i, jv in enumerate(g.vertices)
+            {"index": i, "j": str(jv)} for i, jv in enumerate(g.vertices)
         ],
         "edges": edges,
     }
     if stats is not None:
-        doc["stats"] = {
-            "n": stats.n,
-            "loops": stats.loop_count,
-            "multi_edge_pairs": stats.multi_edge_pair_count,
-            "redundant_edges": stats.redundant_edges,
-            "is_simple": stats.is_simple,
-            "trace_l": stats.trace_l,
-            "trace_l2": stats.trace_l2,
-        }
+        doc["stats"] = stats.as_dict()
     return doc
 
 
@@ -93,7 +81,7 @@ def to_dot(g, overlay=None):
     """
     lines = [f'graph "lambda_{g.p}" {{']
     for i, jv in enumerate(g.vertices):
-        lines.append(f'  v{i} [label="{_format_j(jv)}"];')
+        lines.append(f'  v{i} [label="{jv}"];')
 
     def emit(graph, color=None):
         attr = f' [color={color}]' if color else ""

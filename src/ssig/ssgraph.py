@@ -2,8 +2,10 @@
 
 Vertices are supersingular j-invariants found by BFS from a seed curve;
 edge multiplicities are root multiplicities of the classical modular
-polynomial specialized at a vertex.  A graph is stored as its (n, ell+1)
-neighbour table, which holds the Brandt matrix B(ell) row by row, and
+polynomial specialized at a vertex.  The BFS runs on j-keys: j = c0 + c1*t
+is the integer c1*p + c0, below p^2, so keys sort in the canonical
+(c1, c0) vertex order.  A graph is stored as its (n, ell+1) neighbour
+table, which holds the Brandt matrix B(ell) row by row, and
 ``check_structure`` asserts every structural theorem about it, on each
 graph built and on each graph read from the cache.
 """
@@ -158,90 +160,88 @@ def _specialize(F, table, jvals):
     return coeffs
 
 
-def _neighbor_maps(F, table, jvals, seed, known):
-    """Root-multiplicity map of Phi_ell(j, Y) for every j in ``jvals``,
-    all found in one batched root-finder call.
+def _element(key, p):
+    """The F_p^2 element of the j-key c1*p + c0."""
+    c1, c0 = divmod(int(key), p)
+    return Fp2Element(c0, c1)
 
-    ``known[i]`` lists distinct j-invariants already known to be
-    neighbours of ``jvals[i]``; the root finder divides them out first.
+
+def _neighbour_keys(F, table, keys, known):
+    """The (N, ell+1) array of neighbour j-keys of every j-key in ``keys``:
+    row i lists the roots of Phi_ell(j, Y) at j = keys[i], each repeated
+    by its multiplicity, all found in one batched root-finder call.
+
+    ``known[i]`` lists distinct j-keys already known to be neighbours of
+    ``keys[i]``; the root finder divides them out first.
     """
-    ell = len(table) - 2
-    n = len(jvals)
+    ell, p = len(table) - 2, F.p
+    keys = np.asarray(keys, dtype=np.int64)
     known_counts = np.array([len(ks) for ks in known], dtype=np.int64)
-    known_roots = np.zeros((n, known_counts.max(initial=0), 2), dtype=np.int64)
+    known_keys = np.zeros((len(keys), known_counts.max(initial=0)), dtype=np.int64)
     for i, ks in enumerate(known):
-        if ks:
-            known_roots[i, :len(ks)] = ks
+        known_keys[i, :len(ks)] = ks
     # not at module level: importing ssig must not compile batched_roots,
     # as kernels.fp2_poly_roots explains
     from .batched_roots import InexactDeflation
 
     try:
         roots, mults, counts = kernels.fp2_poly_roots(
-            _specialize(F, table, jvals), np.full(n, ell + 1),
-            F.p, F.c, seed & 0xFFFFFFFF, known_roots, known_counts)
+            _specialize(F, table, np.stack((keys % p, keys // p), axis=1)),
+            np.full(len(keys), ell + 1), p, F.c, 0,
+            np.stack((known_keys % p, known_keys // p), axis=2), known_counts)
     except InexactDeflation as err:
         raise TheoremViolation(
-            f"known neighbour {Fp2Element(*err.root)} of j={jvals[err.row]} "
-            f"(p={F.p}, ell={ell}) leaves the remainder "
-            f"{Fp2Element(*err.remainder)} in Phi_{ell}(j, Y); contradicts "
-            "the symmetry of Phi_ell") from err
-    maps = []
-    for jval, rs, ms, k in zip(jvals, roots.tolist(), mults.tolist(), counts.tolist()):
-        row = {Fp2Element(*r): m for r, m in zip(rs[:k], ms[:k])}
-        if sum(row.values()) != ell + 1:
-            raise TheoremViolation(
-                f"out-degree is not {ell + 1} at j={jval} (p={F.p}, ell={ell}); "
-                "contradicts the (ell+1)-regularity of Lambda_p(ell)"
-            )
-        maps.append(row)
-    return maps
+            f"known neighbour {Fp2Element(*err.root)} of "
+            f"j={_element(keys[err.row], p)} (p={p}, ell={ell}) leaves the "
+            f"remainder {Fp2Element(*err.remainder)} in Phi_{ell}(j, Y); "
+            "contradicts the symmetry of Phi_ell") from err
+    mults[np.arange(mults.shape[1]) >= counts[:, None]] = 0
+    bad = np.flatnonzero(mults.sum(axis=1) != ell + 1)
+    if len(bad):
+        raise TheoremViolation(
+            f"out-degree is not {ell + 1} at j={_element(keys[bad[0]], p)} "
+            f"(p={p}, ell={ell}); contradicts the (ell+1)-regularity of "
+            "Lambda_p(ell)")
+    root_keys = roots[..., 1] * p + roots[..., 0]
+    return np.repeat(root_keys.ravel(), mults.ravel()).reshape(len(keys), ell + 1)
 
 
-def build_graph(p, ell, seed=0):
+def build_graph(p, ell):
     """Construct Lambda_p(ell) by BFS and verify all structural theorems.
 
-    The BFS runs one layer at a time: the neighbours of every vertex of
-    the frontier come from a single batched root-finder call.  Phi_ell is
-    symmetric, so every vertex of the previous layer adjacent to a
-    frontier vertex j' is a known root of Phi_ell(j', Y).  The root
-    finder divides those out, raising ``TheoremViolation`` if one leaves
-    a remainder, and solves what is left, in closed form when its degree
-    is at most 2.  Multiplicities are taken on the undeflated
-    Phi_ell(j', Y), so the symmetry check of ``check_structure`` does not
-    rest on the symmetry used here.
+    The BFS runs on j-keys (see the module docstring), one layer at a
+    time: the neighbours of every vertex of the frontier come from a
+    single batched root-finder call.  Phi_ell is symmetric, so every
+    vertex of the previous layer adjacent to a frontier vertex j' is a
+    known root of Phi_ell(j', Y).  The root finder divides those out,
+    raising ``TheoremViolation`` if one leaves a remainder, and solves
+    what is left, in closed form when its degree is at most 2.
+    Multiplicities are taken on the undeflated Phi_ell(j', Y), so the
+    symmetry check of ``check_structure`` does not rest on the symmetry
+    used here.  Sorting the keys gives the vertex order, and one
+    ``np.searchsorted`` turns the neighbour keys into the table.
     """
     check_graph_args(p, ell)
     F = Fp2(p)
     table = _modpoly_matrix(ell, p)
-    seed_j = find_supersingular_seed(p)
-    order = [seed_j]
-    index = {seed_j: 0}
-    earlier = {}  # next-layer vertex -> the j of its neighbours in this layer
-    bfs_rows = []  # BFS indices of each vertex's neighbours, with repetition
-    while len(bfs_rows) < len(order):
-        lo, hi = len(bfs_rows), len(order)
-        known = [earlier.pop(i, ()) for i in range(lo, hi)]
-        for u, nbrs in enumerate(_neighbor_maps(F, table, order[lo:hi], seed, known), lo):
-            row = []
-            for nb, mult in nbrs.items():
-                if nb not in index:
-                    index[nb] = len(order)
-                    order.append(nb)
-                k = index[nb]
-                if k >= hi:
-                    earlier.setdefault(k, []).append(order[u])
-                row += [k] * mult
-            bfs_rows.append(row)
+    rows = {}  # j-key -> its neighbours' j-keys, with repetition
+    # frontier j-key -> its distinct neighbours in the previous layer; the
+    # seed lies in F_p, so its key is c0
+    layer = {find_supersingular_seed(p).c0: ()}
+    while layer:
+        frontier = list(layer)
+        found = _neighbour_keys(F, table, frontier, list(layer.values()))
+        rows.update(zip(frontier, found))
+        layer = {}
+        for u, row in zip(frontier, found.tolist()):
+            for k in dict.fromkeys(row):
+                if k not in rows:
+                    layer.setdefault(k, []).append(u)
 
-    # canonical vertex order: lexicographic on (c1, c0)
-    n = len(order)
-    perm = sorted(range(n), key=lambda i: (order[i].c1, order[i].c0))
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(n)
-    nbr = rank[np.array(bfs_rows, dtype=np.int64)[perm]]
+    keys = sorted(rows)
+    nbr = np.searchsorted(keys, np.array([rows[k] for k in keys]))
     nbr.sort(axis=1)
-    g = IsogenyGraph(p=p, ell=ell, field=F, vertices=[order[i] for i in perm],
+    g = IsogenyGraph(p=p, ell=ell, field=F, vertices=[_element(k, p) for k in keys],
                      table=nbr)
     check_structure(g)
     return g

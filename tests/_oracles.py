@@ -7,9 +7,11 @@ neighbours of one j-invariant.  The tests compare the package's routes
 with them.
 """
 
+from collections import Counter
+
 from ssig.arith import DomainError, factor
 from ssig.kernels import _chi_table
-from ssig.ssgraph import _modpoly_matrix, _neighbor_maps
+from ssig.ssgraph import _element, _modpoly_matrix, _neighbour_keys
 
 
 def _check_discriminant(d):
@@ -87,6 +89,7 @@ def curve_trace_sum(p, a, b):
     return int(chi[(x * x % p * x % p + (a % p) * x + b % p) % p].sum())
 
 
-def neighbors(F, jval, ell, seed=0):
+def neighbors(F, jval, ell):
     """Multiset of neighboring j-invariants, as a root-multiplicity map."""
-    return _neighbor_maps(F, _modpoly_matrix(ell, F.p), [jval], seed, [()])[0]
+    row = _neighbour_keys(F, _modpoly_matrix(ell, F.p), [jval.c1 * F.p + jval.c0], [()])[0]
+    return dict(Counter(_element(k, F.p) for k in row))

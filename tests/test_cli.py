@@ -220,6 +220,24 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert built == []
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "30013", "--ell1", "5", "--ell2", "7", "--r", "9"],
+         "R must be in [1, 5], got 9"),
+        (["--p", "109", "--ell1", "3", "--ell2", "3", "--r", "1"],
+         "bi-route number needs two distinct primes ell"),
+        (["--p", "109", "--ell1", "5", "--ell2", "7", "--r", "4"], "HURWITZ_D_LIMIT"),
+        (["--p", "30013", "--ell1", "2", "--ell2", "3", "--r", "5",
+          "--method", "telescoped"], "BIROUTE_BYTES_LIMIT"),
+    ], ids=["R", "equal-ell", "hurwitz-degree", "bytes"])
+    def test_biroute_refusals_exit_2_before_any_build(self, argv, message, tmp_path,
+                                                      capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli_module, "build_graph",
+                            lambda *args, **kw: built.append(args))
+        assert main(["biroute", *argv, "--cache-dir", str(tmp_path / "fresh")]) == 2
+        assert message in capsys.readouterr().err
+        assert built == []
+
     def test_overlay_of_ell_zero_exits_2(self, tmp_path, capsys):
         assert main(["graph", "--p", "37", "--ell", "2", "--format", "dot", "--ell2", "0",
                      "--cache-dir", str(tmp_path)]) == 2
@@ -259,7 +277,7 @@ class TestExitCodes:
         assert [ref() for ref in refs] == [None, None]
 
     def test_theorem_violation(self, monkeypatch, tmp_path):
-        def broken(p, ell, seed=0):
+        def broken(p, ell):
             raise TheoremViolation("intentionally broken for the exit-code test")
 
         monkeypatch.setattr(cli_module, "build_graph", broken)

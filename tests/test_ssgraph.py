@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from ssig.export import graph_to_dict
 from ssig.ssgraph import (
     SUPPORTED_ELLS,
     IsogenyGraph,
+    _element,
     _modpoly_matrix,
-    _neighbor_maps,
+    _neighbour_keys,
     _specialize,
     build_graph,
     check_structure,
@@ -21,6 +24,31 @@ from ssig.ssgraph import (
 from _dense import dense
 from _oracles import curve_trace_sum, neighbors
 from _scalar_roots import scalar_neighbors, scalar_specialize
+
+
+def key(jv, p):
+    """The j-key c1*p + c0 of a vertex, as build_graph's BFS uses it."""
+    return jv.c1 * p + jv.c0
+
+
+def bfs_layers(g):
+    """BFS layers of ``g`` from its seed vertex, read off the final table,
+    and for each vertex the set of its neighbours one layer nearer the seed."""
+    layers = [[g.vertices.index(find_supersingular_seed(g.p))]]
+    dist = {layers[0][0]: 0}
+    while True:
+        nxt = []
+        for u in layers[-1]:
+            for k in g.table[u].tolist():
+                if k not in dist:
+                    dist[k] = len(layers)
+                    nxt.append(k)
+        if not nxt:
+            break
+        layers.append(nxt)
+    nearer = {v: {k for k in g.table[v].tolist() if dist[k] == d - 1}
+              for v, d in dist.items()}
+    return layers, nearer
 
 
 class TestModpolyTable:
@@ -112,21 +140,48 @@ class TestBuildGraph:
         for jv in graphs(109, 2).vertices:
             assert not (jv.c1 == 0 and jv.c0 in (0, 1728 % 109))
 
-    def test_deterministic_across_seeds(self):
-        a = build_graph(109, 2, seed=0)
-        b = build_graph(109, 2, seed=99)
+    def test_deterministic_across_seeds(self, monkeypatch):
+        # build_graph passes splitting seed 0; another seed builds the same graph
+        a = build_graph(109, 2)
+        find, seeds = kernels.fp2_poly_roots, []
+
+        def other_seed(coeffs, degs, p, c, seed, *known):
+            seeds.append(seed)
+            return find(coeffs, degs, p, c, 99, *known)
+
+        monkeypatch.setattr(kernels, "fp2_poly_roots", other_seed)
+        b = build_graph(109, 2)
+        assert seeds and set(seeds) == {0}
         assert a.vertices == b.vertices
         assert np.array_equal(a.table, b.table)
+        assert graph_to_dict(a) == graph_to_dict(b)
 
     @pytest.mark.parametrize("p", [181, 433])
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
-    def test_outputs_do_not_depend_on_the_splitting_seed(self, p, ell):
-        base = build_graph(p, ell, seed=0)
-        for seed in (1, 12345, 2**32 - 1):
-            g = build_graph(p, ell, seed=seed)
-            assert g.vertices == base.vertices
-            assert np.array_equal(g.table, base.table)
-            assert graph_to_dict(g) == graph_to_dict(base)
+    def test_outputs_do_not_depend_on_the_splitting_seed(self, graphs, p, ell):
+        # the seed lives in kernels.fp2_poly_roots: Phi_ell(j, Y) of every
+        # vertex, with and without its neighbours one BFS layer nearer the
+        # seed as known roots, has the same roots under every seed
+        g = graphs(p, ell)
+        _, nearer = bfs_layers(g)
+        known_counts = np.array([len(nearer[v]) for v in range(g.n)])
+        known = np.zeros((g.n, known_counts.max(), 2), np.int64)
+        for v, ks in nearer.items():
+            for slot, k in enumerate(sorted(ks)):
+                known[v, slot] = g.vertices[k]
+        coeffs = _specialize(g.field, _modpoly_matrix(ell, p), g.vertices)
+        degs = np.full(g.n, ell + 1)
+        base = kernels.fp2_poly_roots(coeffs, degs, p, g.field.c, 0)
+        for seed in (0, 1, 12345, 2**32 - 1):
+            for given in ((), (known, known_counts)):
+                found = kernels.fp2_poly_roots(coeffs, degs, p, g.field.c, seed, *given)
+                assert all(np.array_equal(a, b) for a, b in zip(found, base))
+        # and those roots are the graph's table
+        roots, mults, _ = base
+        vertex_keys = np.array([key(jv, p) for jv in g.vertices])
+        root_keys = np.repeat((roots[..., 1] * p + roots[..., 0]).ravel(), mults.ravel())
+        rows = np.searchsorted(vertex_keys, root_keys.reshape(g.n, ell + 1))
+        assert np.array_equal(np.sort(rows, axis=1), g.table)
 
     def test_multiplicity_reads_the_table(self, graphs):
         for ell in SUPPORTED_ELLS:
@@ -209,13 +264,15 @@ class TestDeflatedRootFinder:
         g = graphs(109, 3)
         F, table = g.field, _modpoly_matrix(3, 109)
         u, v = g.vertices[0], g.vertices[1]
-        right = [g.vertices[k] for k in np.unique(g.table[1])]
-        wrong = next(jv for k, jv in enumerate(g.vertices) if g.multiplicity(0, k) == 0)
+        right = [key(g.vertices[k], 109) for k in np.unique(g.table[1])]
+        wrong = next(key(jv, 109) for k, jv in enumerate(g.vertices)
+                     if g.multiplicity(0, k) == 0)
         # the true neighbours deflate cleanly, in any slot
-        maps = _neighbor_maps(F, table, [u, v], 0, [[], right[::-1]])
+        rows = _neighbour_keys(F, table, [key(u, 109), key(v, 109)], [[], right[::-1]])
+        maps = [dict(Counter(_element(k, 109) for k in row)) for row in rows.tolist()]
         assert maps == [neighbors(F, u, 3), neighbors(F, v, 3)]
         with pytest.raises(TheoremViolation, match="leaves the remainder") as err:
-            _neighbor_maps(F, table, [v, u], 0, [right, [wrong]])
+            _neighbour_keys(F, table, [key(v, 109), key(u, 109)], [right, [wrong]])
         assert f"of j={u}" in str(err.value)
         assert "p=109" in str(err.value) and "ell=3" in str(err.value)
 
@@ -233,4 +290,35 @@ class TestDeflatedRootFinder:
             _specialize(F, table, [jval]), [3], 13, F.c, 0, [[r]], [1])
         assert (counts[0], tuple(roots[0, 0]), mults[0, 0]) == (1, tuple(r), 1)
         with pytest.raises(TheoremViolation, match="out-degree is not 3"):
-            _neighbor_maps(F, table, [jval], 0, [[r]])
+            _neighbour_keys(F, table, [key(jval, 13)], [[key(r, 13)]])
+
+
+class TestKnownNeighbourHandOff:
+    """Which known roots build_graph hands the root finder shows in no
+    output, so the calls themselves are recorded."""
+
+    @pytest.mark.parametrize("p", [433, 1009])
+    @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
+    def test_each_vertex_gets_its_neighbours_one_layer_nearer(self, graphs, monkeypatch,
+                                                              p, ell):
+        g = graphs(p, ell)
+        rows = _specialize(g.field, _modpoly_matrix(ell, p), g.vertices)
+        vertex_of_row = {row.tobytes(): v for v, row in enumerate(rows)}
+        assert len(vertex_of_row) == g.n
+        index = {jv: i for i, jv in enumerate(g.vertices)}
+        find, calls = kernels.fp2_poly_roots, []
+
+        def record(coeffs, degs, p, c, seed, known, known_counts):
+            calls.append([(vertex_of_row[row.tobytes()],
+                           sorted(index[Fp2Element(*r)] for r in ks[:k].tolist()))
+                          for row, ks, k in zip(coeffs, known, known_counts)])
+            return find(coeffs, degs, p, c, seed, known, known_counts)
+
+        monkeypatch.setattr(kernels, "fp2_poly_roots", record)
+        build_graph(p, ell)
+        layers, nearer = bfs_layers(g)
+        assert len(calls) == len(layers)  # one root-finder call per BFS layer
+        for call, layer in zip(calls, layers):
+            assert sorted(v for v, _ in call) == sorted(layer)
+            for v, given in call:
+                assert given == sorted(nearer[v])
