@@ -7,7 +7,7 @@ matrix recurrences, Hurwitz class-number trace formulas), and derives
 congruence conditions on p equivalent to structural graph properties.
 """
 
-from .arith import DomainError, Fp2, Fp2Element, is_prime, kronecker
+from .arith import DomainError, is_prime, kronecker
 from .classnum import decompose, hurwitz, hurwitz_modified
 from .brandt import (
     TheoremViolation,
@@ -47,8 +47,6 @@ __all__ = [
     "BirouteReport",
     "CongruenceClassSet",
     "DomainError",
-    "Fp2",
-    "Fp2Element",
     "GraphCache",
     "GraphProperty",
     "GraphStats",

@@ -142,7 +142,7 @@ def graph_stats(g):
 def _check_pair(g1, g2):
     if g1.p != g2.p:
         raise DomainError("graphs live over different primes")
-    if g1.vertices != g2.vertices:
+    if not np.array_equal(g1.vertices, g2.vertices):
         raise DomainError("graphs use different vertex orders")
 
 

@@ -1,6 +1,5 @@
-"""Exact arithmetic: Kronecker symbols, primality, and the F_p^2 descriptor."""
-
-from typing import NamedTuple
+"""Exact arithmetic: Kronecker symbols, primality, and the nonresidue that
+fixes F_p^2."""
 
 P_LIMIT = 1 << 31  # keeps every kernel product inside int64
 
@@ -93,40 +92,18 @@ def factor(n):
     return out
 
 
-class Fp2Element(NamedTuple):
-    """c0 + c1*t with t^2 = c, coefficients reduced into [0, p)."""
+def nonresidue(p):
+    """The smallest positive quadratic nonresidue c mod p.
 
-    c0: int
-    c1: int
-
-    def __str__(self):
-        return f"{self.c0}+{self.c1}*t"
-
-
-class Fp2:
-    """The field F_p[t]/(t^2 - c), c the smallest positive nonresidue mod p.
-
-    Fixing c canonically gives every j-invariant a reproducible coordinate
-    pair across runs and machines.  This is only the (p, c) descriptor:
-    the arithmetic runs on int64 (c0, c1) arrays in ``kernels``.
+    F_p^2 is F_p[t]/(t^2 - c) with this c, which gives every j-invariant
+    a reproducible coordinate pair across runs and machines; the
+    arithmetic runs on int64 (c0, c1) arrays in ``kernels``.
     """
-
-    def __init__(self, p):
-        if not is_prime(p):
-            raise DomainError(f"{p} is not prime")
-        if p < 3 or p >= P_LIMIT:
-            raise DomainError(f"p must be an odd prime below 2^31, got {p}")
-        self.p = p
-        c = 2
-        while pow(c, (p - 1) // 2, p) != p - 1:
-            c += 1
-        self.c = c
-
-    def __eq__(self, other):
-        return isinstance(other, Fp2) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp2", self.p))
-
-    def __repr__(self):
-        return f"Fp2(p={self.p}, c={self.c})"
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
+    if p < 3 or p >= P_LIMIT:
+        raise DomainError(f"p must be an odd prime below 2^31, got {p}")
+    c = 2
+    while pow(c, (p - 1) // 2, p) != p - 1:
+        c += 1
+    return c

@@ -202,6 +202,8 @@ def biroute_cmd(p, ell1, ell2, r, method, cache_dir):
 @cache_option
 def intersect(p, ell1, ell2, cache_dir):
     """Intersection number and edit distance of two graphs."""
+    check_graph_args(p, ell1)
+    check_graph_args(p, ell2)  # before either graph is built
     g1 = _load_or_build(p, ell1, cache_dir)
     g2 = _load_or_build(p, ell2, cache_dir)
     _echo(f"intersection {intersection_number(g1, g2)}")
@@ -254,8 +256,6 @@ def sweep(pmax, ells, out, cache_dir):
             if not is_prime(p):
                 continue
             for ell in ells:
-                if p == ell:
-                    continue
                 check_graph_args(p, ell)
                 pairs.append((p, ell))
         rows = []

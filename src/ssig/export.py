@@ -1,4 +1,5 @@
-"""Graph export formats (JSON, DOT) and the file-backed graph cache."""
+"""Graph export formats (JSON, DOT) and the file-backed graph cache; both
+formats label a vertex by its j-invariant c0+c1*t, ``ssgraph.j_labels``."""
 
 import json
 import os
@@ -6,16 +7,12 @@ import tempfile
 
 import numpy as np
 
-from .arith import DomainError, Fp2, Fp2Element
+from .arith import DomainError, nonresidue
 from .brandt import TheoremViolation
-from .ssgraph import SUPPORTED_ELLS, IsogenyGraph, check_structure
+from .ssgraph import (SUPPORTED_ELLS, IsogenyGraph, check_structure, j_labels,
+                      parse_j_labels)
 
 EXPORT_VERSION = 1
-
-
-def _parse_j(text):
-    a, b = text.split("+")
-    return Fp2Element(int(a), int(b.rstrip("*t")))
 
 
 def graph_to_dict(g, stats=None):
@@ -28,9 +25,9 @@ def graph_to_dict(g, stats=None):
         "version": EXPORT_VERSION,
         "p": g.p,
         "ell": g.ell,
-        "c": g.field.c,
+        "c": nonresidue(g.p),
         "vertices": [
-            {"index": i, "j": str(jv)} for i, jv in enumerate(g.vertices)
+            {"index": i, "j": j} for i, j in enumerate(j_labels(g.vertices, g.p))
         ],
         "edges": edges,
     }
@@ -45,15 +42,14 @@ def graph_from_dict(doc):
     if doc.get("version") != EXPORT_VERSION:
         raise DomainError(f"unsupported export version {doc.get('version')}")
     p, ell = doc["p"], doc["ell"]
-    F = Fp2(p)
-    if F.c != doc["c"]:
+    if nonresidue(p) != doc["c"]:
         raise DomainError("field nonresidue in file disagrees with construction")
     if ell not in SUPPORTED_ELLS:
         raise DomainError(f"ell must be one of {SUPPORTED_ELLS}, got {ell}")
     records = doc["vertices"]
     if [v["index"] for v in records] != list(range(len(records))):
         raise DomainError("vertex records are not indexed 0..n-1 in order")
-    vertices = [_parse_j(v["j"]) for v in records]
+    vertices = parse_j_labels((v["j"] for v in records), p)
     n = len(vertices)
     edges = doc["edges"]
     i, k, m = (np.array([e[f] for e in edges]) for f in "ijm")
@@ -70,7 +66,7 @@ def graph_from_dict(doc):
     if (np.bincount(rows, minlength=n) != ell + 1).any():
         raise DomainError(f"edge records do not give every vertex {ell + 1} neighbours")
     table = cols[np.lexsort((cols, rows))].reshape(n, ell + 1)
-    return IsogenyGraph(p=p, ell=ell, field=F, vertices=vertices, table=table)
+    return IsogenyGraph(p=p, ell=ell, vertices=vertices, table=table)
 
 
 def to_dot(g, overlay=None):
@@ -80,8 +76,8 @@ def to_dot(g, overlay=None):
     green while the first graph's are blue.
     """
     lines = [f'graph "lambda_{g.p}" {{']
-    for i, jv in enumerate(g.vertices):
-        lines.append(f'  v{i} [label="{jv}"];')
+    for i, j in enumerate(j_labels(g.vertices, g.p)):
+        lines.append(f'  v{i} [label="{j}"];')
 
     def emit(graph, color=None):
         attr = f' [color={color}]' if color else ""
@@ -92,7 +88,7 @@ def to_dot(g, overlay=None):
     if overlay is None:
         emit(g)
     else:
-        if overlay.vertices != g.vertices:
+        if not np.array_equal(overlay.vertices, g.vertices):
             raise DomainError("overlay graph uses a different vertex order")
         emit(g, "blue")
         emit(overlay, "green")

@@ -47,10 +47,10 @@ def fp2_poly_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     degree ``degs[i]`` lowest degree first; coefficients above the degree
     are ignored.  Returns (roots, mults, counts): for i < N and k <
     counts[i], roots[i, k] is the (c0, c1) pair of a distinct root of row
-    i and mults[i, k] its multiplicity.  Rows of degree 0 have no roots;
-    a zero row, or a wider array, is a ``DomainError``.  ``seed`` picks
-    the random shifts of the splitting rounds; no output depends on it,
-    and ``build_graph`` passes 0.
+    i and mults[i, k] its multiplicity; both are zero in every slot k >=
+    counts[i].  Rows of degree 0 have no roots; a zero row, or a wider
+    array, is a ``DomainError``.  ``seed`` picks the random shifts of the
+    splitting rounds; no output depends on it, and ``build_graph`` passes 0.
 
     ``known``, of shape (N, K, 2), with ``known_counts`` of shape (N,),
     optionally gives distinct roots the caller already knows:

@@ -2,12 +2,14 @@
 
 Vertices are supersingular j-invariants found by BFS from a seed curve;
 edge multiplicities are root multiplicities of the classical modular
-polynomial specialized at a vertex.  The BFS runs on j-keys: j = c0 + c1*t
-is the integer c1*p + c0, below p^2, so keys sort in the canonical
-(c1, c0) vertex order.  A graph is stored as its (n, ell+1) neighbour
-table, which holds the Brandt matrix B(ell) row by row, and
-``check_structure`` asserts every structural theorem about it, on each
-graph built and on each graph read from the cache.
+polynomial specialized at a vertex.  A j-invariant is its j-key: j = c0 +
+c1*t in F_p^2 = F_p[t]/(t^2 - c), c = ``arith.nonresidue(p)``, is the
+integer c1*p + c0, below p^2, so keys sort in the canonical (c1, c0)
+order.  A graph is its sorted int64 array of vertex keys and its
+(n, ell+1) neighbour table, which holds the Brandt matrix B(ell) row by
+row; ``check_structure`` asserts every structural theorem about it, on
+each graph built and on each graph read from the cache.  ``j_labels`` and
+``parse_j_labels`` are the one text spelling of a key, c0+c1*t.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .arith import DomainError, Fp2, Fp2Element, is_prime
+from .arith import DomainError, is_prime, nonresidue
 from .brandt import TheoremViolation, neighbour_table, trace_formula, vertex_count
 from ._modpoly_data import MODULAR_POLYNOMIALS
 
@@ -57,14 +59,14 @@ for _ell in SUPPORTED_ELLS:
 
 @dataclass
 class IsogenyGraph:
-    """Multigraph Lambda_p(ell): vertex list plus neighbour table, the
-    (n, ell+1) int64 array whose sorted row i lists the neighbours of
-    vertex i, an m-fold one m times: row i of B(ell), spelled out."""
+    """Multigraph Lambda_p(ell): the strictly increasing int64 array of
+    vertex j-keys, and the neighbour table, the (n, ell+1) int64 array
+    whose sorted row i lists the neighbours of vertex i, an m-fold one m
+    times: row i of B(ell), spelled out."""
 
     p: int
     ell: int
-    field: Fp2
-    vertices: list
+    vertices: np.ndarray
     table: np.ndarray
 
     @property
@@ -101,14 +103,15 @@ class IsogenyGraph:
 
 def find_supersingular_seed(p):
     """Smallest j in F_p whose curve y^2 = x^3 + 3j(1728-j)x + 2j(1728-j)^2
-    has exactly p + 1 points (trace zero implies supersingular)."""
+    has exactly p + 1 points (trace zero implies supersingular); j lies in
+    F_p, so it is its own j-key."""
     _check_graph_prime(p)
     j = kernels.supersingular_scan(p)
     if j < 0:
         raise TheoremViolation(
             f"no supersingular j-invariant found in F_{p}; one must exist"
         )
-    return Fp2Element(j, 0)
+    return j
 
 
 def _check_graph_prime(p):
@@ -144,29 +147,45 @@ def _modpoly_matrix(ell, p):
     return table
 
 
-def _specialize(F, table, jvals):
-    """Phi_ell(j, Y) for every j in ``jvals``, as the (N, MAXD + 1, 2)
+def j_labels(keys, p):
+    """The text c0+c1*t of every j-key c1*p + c0 in ``keys``."""
+    return [f"{k % p}+{k // p}*t" for k in np.asarray(keys).tolist()]
+
+
+def parse_j_labels(texts, p):
+    """The int64 j-keys of texts as ``j_labels`` writes them; any other
+    text, or a coordinate outside [0, p), is a ``DomainError``.  A text
+    that ``j_labels`` writes back unchanged from a key in [0, p^2) has
+    both coordinates in [0, p)."""
+    texts = list(texts)
+    try:
+        keys = [int(c1.removesuffix("*t")) * p + int(c0)
+                for c0, c1 in (text.split("+") for text in texts)]
+    except (AttributeError, ValueError) as err:
+        raise DomainError(f"a j label is not c0+c1*t: {err}") from err
+    if not all(0 <= k < p * p for k in keys) or j_labels(keys, p) != texts:
+        raise DomainError(f"a j label is not c0+c1*t with c0, c1 in [0, {p})")
+    return np.array(keys, dtype=np.int64)
+
+
+def _specialize(p, c, table, keys):
+    """Phi_ell(j, Y) for every j-key in ``keys``, as the (N, MAXD + 1, 2)
     coefficient array of ``kernels.fp2_poly_roots``: the powers j^0 ..
     j^(ell+1) of the whole batch, one ``kernels.fp2_mul`` per power, times
     the coefficient matrix, reduced term by term."""
-    j = np.array(jvals, dtype=np.int64).reshape(-1, 2)
+    keys = np.asarray(keys, dtype=np.int64)
+    j = np.stack((keys % p, keys // p), axis=-1)
     jpow = np.zeros((len(j), len(table), 2), dtype=np.int64)
     jpow[:, 0, 0] = 1
     for k in range(1, len(table)):
-        jpow[:, k] = kernels.fp2_mul(jpow[:, k - 1], j, F.p, F.c)
+        jpow[:, k] = kernels.fp2_mul(jpow[:, k - 1], j, p, c)
     coeffs = np.zeros((len(j), kernels.MAXD + 1, 2), dtype=np.int64)
     coeffs[:, :len(table)] = (
-        jpow[:, :, None, :] * table[None, :, :, None] % F.p).sum(axis=1) % F.p
+        jpow[:, :, None, :] * table[None, :, :, None] % p).sum(axis=1) % p
     return coeffs
 
 
-def _element(key, p):
-    """The F_p^2 element of the j-key c1*p + c0."""
-    c1, c0 = divmod(int(key), p)
-    return Fp2Element(c0, c1)
-
-
-def _neighbour_keys(F, table, keys, known):
+def _neighbour_keys(p, c, table, keys, known):
     """The (N, ell+1) array of neighbour j-keys of every j-key in ``keys``:
     row i lists the roots of Phi_ell(j, Y) at j = keys[i], each repeated
     by its multiplicity, all found in one batched root-finder call.
@@ -174,7 +193,7 @@ def _neighbour_keys(F, table, keys, known):
     ``known[i]`` lists distinct j-keys already known to be neighbours of
     ``keys[i]``; the root finder divides them out first.
     """
-    ell, p = len(table) - 2, F.p
+    ell = len(table) - 2
     keys = np.asarray(keys, dtype=np.int64)
     known_counts = np.array([len(ks) for ks in known], dtype=np.int64)
     known_keys = np.zeros((len(keys), known_counts.max(initial=0)), dtype=np.int64)
@@ -185,21 +204,21 @@ def _neighbour_keys(F, table, keys, known):
     from .batched_roots import InexactDeflation
 
     try:
-        roots, mults, counts = kernels.fp2_poly_roots(
-            _specialize(F, table, np.stack((keys % p, keys // p), axis=1)),
-            np.full(len(keys), ell + 1), p, F.c, 0,
+        roots, mults, _ = kernels.fp2_poly_roots(
+            _specialize(p, c, table, keys), np.full(len(keys), ell + 1), p, c, 0,
             np.stack((known_keys % p, known_keys // p), axis=2), known_counts)
     except InexactDeflation as err:
+        root, j, remainder = j_labels(
+            [err.root[1] * p + err.root[0], keys[err.row],
+             err.remainder[1] * p + err.remainder[0]], p)
         raise TheoremViolation(
-            f"known neighbour {Fp2Element(*err.root)} of "
-            f"j={_element(keys[err.row], p)} (p={p}, ell={ell}) leaves the "
-            f"remainder {Fp2Element(*err.remainder)} in Phi_{ell}(j, Y); "
+            f"known neighbour {root} of j={j} (p={p}, ell={ell}) leaves the "
+            f"remainder {remainder} in Phi_{ell}(j, Y); "
             "contradicts the symmetry of Phi_ell") from err
-    mults[np.arange(mults.shape[1]) >= counts[:, None]] = 0
     bad = np.flatnonzero(mults.sum(axis=1) != ell + 1)
     if len(bad):
         raise TheoremViolation(
-            f"out-degree is not {ell + 1} at j={_element(keys[bad[0]], p)} "
+            f"out-degree is not {ell + 1} at j={j_labels(keys[bad], p)[0]} "
             f"(p={p}, ell={ell}); contradicts the (ell+1)-regularity of "
             "Lambda_p(ell)")
     root_keys = roots[..., 1] * p + roots[..., 0]
@@ -218,19 +237,18 @@ def build_graph(p, ell):
     what is left, in closed form when its degree is at most 2.
     Multiplicities are taken on the undeflated Phi_ell(j', Y), so the
     symmetry check of ``check_structure`` does not rest on the symmetry
-    used here.  Sorting the keys gives the vertex order, and one
+    used here.  The sorted keys are the vertices, and one
     ``np.searchsorted`` turns the neighbour keys into the table.
     """
     check_graph_args(p, ell)
-    F = Fp2(p)
+    c = nonresidue(p)
     table = _modpoly_matrix(ell, p)
     rows = {}  # j-key -> its neighbours' j-keys, with repetition
-    # frontier j-key -> its distinct neighbours in the previous layer; the
-    # seed lies in F_p, so its key is c0
-    layer = {find_supersingular_seed(p).c0: ()}
+    # frontier j-key -> its distinct neighbours in the previous layer
+    layer = {find_supersingular_seed(p): ()}
     while layer:
         frontier = list(layer)
-        found = _neighbour_keys(F, table, frontier, list(layer.values()))
+        found = _neighbour_keys(p, c, table, frontier, list(layer.values()))
         rows.update(zip(frontier, found))
         layer = {}
         for u, row in zip(frontier, found.tolist()):
@@ -241,8 +259,7 @@ def build_graph(p, ell):
     keys = sorted(rows)
     nbr = np.searchsorted(keys, np.array([rows[k] for k in keys]))
     nbr.sort(axis=1)
-    g = IsogenyGraph(p=p, ell=ell, field=F, vertices=[_element(k, p) for k in keys],
-                     table=nbr)
+    g = IsogenyGraph(p=p, ell=ell, vertices=np.array(keys, dtype=np.int64), table=nbr)
     check_structure(g)
     return g
 
@@ -258,15 +275,14 @@ def check_structure(g):
         neighbour_table(g)
     except DomainError as err:
         raise TheoremViolation(f"p={p}, ell={ell}: {err}") from err
-    keys = [(jv.c1, jv.c0) for jv in g.vertices]
+    keys = g.vertices  # a key in [0, p^2) has both coordinates in [0, p)
     n_formula, trace = vertex_count(p), trace_formula(p, ell)
     checks = (
         (g.n == n_formula, f"vertex count {g.n} != class-number formula {n_formula}"),
-        (all(0 <= c < p for key in keys for c in key),
-         "a vertex coordinate lies outside [0, p)"),
-        (all(a < b for a, b in zip(keys, keys[1:])),
+        (((0 <= keys) & (keys < p * p)).all(), "a vertex coordinate lies outside [0, p)"),
+        ((keys[1:] > keys[:-1]).all(),
          "vertices are not strictly increasing in (c1, c0) order"),
-        ((0, 0) not in keys and (0, 1728 % p) not in keys, "a vertex is j = 0 or 1728"),
+        (not ((keys == 0) | (keys == 1728 % p)).any(), "a vertex is j = 0 or 1728"),
         (g.trace() == trace, f"loop count {g.trace()} != trace formula {trace}"),
     )
     for ok, what in checks:

@@ -9,9 +9,9 @@ with them.
 
 from collections import Counter
 
-from ssig.arith import DomainError, factor
+from ssig.arith import DomainError, factor, nonresidue
 from ssig.kernels import _chi_table
-from ssig.ssgraph import _element, _modpoly_matrix, _neighbour_keys
+from ssig.ssgraph import _modpoly_matrix, _neighbour_keys
 
 
 def _check_discriminant(d):
@@ -89,7 +89,8 @@ def curve_trace_sum(p, a, b):
     return int(chi[(x * x % p * x % p + (a % p) * x + b % p) % p].sum())
 
 
-def neighbors(F, jval, ell):
-    """Multiset of neighboring j-invariants, as a root-multiplicity map."""
-    row = _neighbour_keys(F, _modpoly_matrix(ell, F.p), [jval.c1 * F.p + jval.c0], [()])[0]
-    return dict(Counter(_element(k, F.p) for k in row))
+def neighbors(p, key, ell):
+    """Multiset of neighbouring j-keys of the j-key ``key``, as a
+    root-multiplicity map."""
+    row = _neighbour_keys(p, nonresidue(p), _modpoly_matrix(ell, p), [key], [()])[0]
+    return dict(Counter(row.tolist()))

@@ -11,7 +11,6 @@ numpy root finder it is compared with.
 import numpy as np
 
 from ssig._modpoly_data import MODULAR_POLYNOMIALS
-from ssig.arith import Fp2Element
 from ssig.kernels import MAXD, _lcg
 
 
@@ -347,10 +346,11 @@ def scalar_specialize(p, c, j, ell):
     return f
 
 
-def scalar_neighbors(F, jval, ell):
-    """Root-multiplicity map of the undeflated Phi_ell(j, Y), specialized
-    and solved by the scalar kernel; ``F`` gives p and c."""
+def scalar_neighbors(p, c, key, ell):
+    """Root-multiplicity map of the undeflated Phi_ell(j, Y) at the j-key
+    ``key`` = c1*p + c0, specialized and solved by the scalar kernel, with
+    the roots as j-keys."""
     roots, mults, count = _fp2_poly_roots_one(
-        scalar_specialize(F.p, F.c, jval, ell), ell + 1, F.p, F.c, 0)
-    return {Fp2Element(*r): m
-            for r, m in zip(roots[:count].tolist(), mults[:count].tolist())}
+        scalar_specialize(p, c, (key % p, key // p), ell), ell + 1, p, c, 0)
+    return {r1 * p + r0: m
+            for (r0, r1), m in zip(roots[:count].tolist(), mults[:count].tolist())}

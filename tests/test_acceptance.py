@@ -29,7 +29,7 @@ from ssig import (
     vertex_count,
 )
 from ssig import kernels
-from ssig.arith import Fp2
+from ssig.arith import nonresidue
 from ssig.ssgraph import SUPPORTED_ELLS, validate_modpoly_table
 from _residue_lists import NO_COMMON_23_RESIDUES, SIMPLE3_RESIDUES
 from _scalar_roots import horner
@@ -194,7 +194,7 @@ def test_criterion_09_modpoly_and_root_finder():
         validate_modpoly_table(ell)
     for p in (13, 37):
         rng = random.Random(p)
-        c = Fp2(p).c
+        c = nonresidue(p)
         for trial in range(50):
             deg = rng.randint(1, 8)
             coeffs = [(rng.randrange(p), rng.randrange(p)) for _ in range(deg)]

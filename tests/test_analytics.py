@@ -96,8 +96,8 @@ class TestAgainstDenseOracle:
                     table = g.table.copy()
                     table[i, np.flatnonzero(row == j)[0]] = k
                     table[i].sort()
-                    bad = IsogenyGraph(p=g.p, ell=g.ell, field=g.field,
-                                       vertices=g.vertices, table=table)
+                    bad = IsogenyGraph(p=g.p, ell=g.ell, vertices=g.vertices,
+                                       table=table)
                     with pytest.raises(DomainError, match="symmetric"):
                         graph_stats(bad)
                     moves += 1

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ssig import kernels
-from ssig.arith import DomainError, Fp2, Fp2Element, factor, is_prime, kronecker
+from ssig.arith import DomainError, factor, is_prime, kronecker, nonresidue
 
 from _scalar_roots import _f2mul, _f2pow, horner
 
@@ -80,28 +80,23 @@ class TestKronecker:
             kronecker(3, 0)
 
 
-@pytest.fixture(scope="module")
-def F13():
-    return Fp2(13)
-
-
 def elements(p):
     return st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
 
 
-def check_fp2_mul(a, b, c, F):
+def check_fp2_mul(a, b, c, p):
     """kernels.fp2_mul on (..., 2) arrays of reduced values against the
     scalar multiply, then the ring axioms it must obey; every product
     it returns is already reduced."""
-    p = F.p
+    nr = nonresidue(p)
 
     def mul(x, y):
-        xy = kernels.fp2_mul(x, y, p, F.c)
+        xy = kernels.fp2_mul(x, y, p, nr)
         assert ((0 <= xy) & (xy < p)).all()
         return xy
 
     ab = mul(a, b)
-    assert ab.tolist() == [list(_f2mul(*x, *y, p, F.c))
+    assert ab.tolist() == [list(_f2mul(*x, *y, p, nr))
                            for x, y in zip(a.tolist(), b.tolist())]
     assert np.array_equal(ab, mul(b, a))
     assert np.array_equal(mul(ab, c), mul(a, mul(b, c)))
@@ -109,44 +104,56 @@ def check_fp2_mul(a, b, c, F):
 
 
 class TestFp2:
-    def test_canonical_nonresidue(self, F13):
-        assert F13.c == 2
-        assert pow(F13.c, (13 - 1) // 2, 13) == 13 - 1
+    def test_canonical_nonresidue(self):
+        assert nonresidue(13) == 2
+        assert pow(2, (13 - 1) // 2, 13) == 13 - 1
+
+    def test_nonresidue_is_the_smallest(self):
+        for p in (3, 5, 7, 13, 37, 71, 1009, 2**31 - 1):
+            c = nonresidue(p)
+            symbols = [pow(a, (p - 1) // 2, p) for a in range(1, c + 1)]
+            assert symbols == [1] * (c - 1) + [p - 1]
+
+    def test_nonresidue_domain(self):
+        with pytest.raises(DomainError, match="15 is not prime"):
+            nonresidue(15)
+        with pytest.raises(DomainError, match="odd prime below 2\\^31, got 2$"):
+            nonresidue(2)
+        above = next(q for q in range(2**31, 2**31 + 100) if is_prime(q))
+        with pytest.raises(DomainError, match=f"odd prime below 2\\^31, got {above}"):
+            nonresidue(above)
 
     @given(a=elements(13), b=elements(13), c=elements(13))
-    def test_ring_axioms(self, F13, a, b, c):
-        check_fp2_mul(*(np.array([x], np.int64) for x in (a, b, c)), F13)
+    def test_ring_axioms(self, a, b, c):
+        check_fp2_mul(*(np.array([x], np.int64) for x in (a, b, c)), 13)
 
     def test_ring_axioms_at_int64_headroom(self):
         # every product at p = 2^31 - 1 is close to 2^62, so each
         # component, a sum of two of them, is close to 2^63 before it is
         # reduced
-        F = Fp2(2**31 - 1)
+        p = 2**31 - 1
         rng = np.random.default_rng(0)
-        a, b, c = rng.integers(F.p - 1000, F.p, (3, 200, 2))
-        check_fp2_mul(a, b, c, F)
-        check_fp2_mul(*rng.integers(0, F.p, (3, 200, 2)), F)
+        a, b, c = rng.integers(p - 1000, p, (3, 200, 2))
+        check_fp2_mul(a, b, c, p)
+        check_fp2_mul(*rng.integers(0, p, (3, 200, 2)), p)
 
-    def test_multiplicative_order_divides_group_order(self, F13):
+    def test_multiplicative_order_divides_group_order(self):
         # every nonzero element of F_13^2 at once, raised to 13^2 - 1 by
         # square-and-multiply with kernels.fp2_mul
-        p, a = 13, all_field_elements(F13)[1:]
+        p, c, a = 13, nonresidue(13), all_field_elements(13)[1:]
         x, r = np.array(a, np.int64), np.array([[1, 0]] * len(a), np.int64)
         e = p * p - 1
         while e:
             if e & 1:
-                r = kernels.fp2_mul(r, x, p, F13.c)
-            x = kernels.fp2_mul(x, x, p, F13.c)
+                r = kernels.fp2_mul(r, x, p, c)
+            x = kernels.fp2_mul(x, x, p, c)
             e >>= 1
         assert (r == (1, 0)).all()
-        assert all(_f2pow(*v, p * p - 1, p, F13.c) == (1, 0) for v in a)
-
-    def test_str(self):
-        assert str(Fp2Element(5, 0)) == "5+0*t"
+        assert all(_f2pow(*v, p * p - 1, p, c) == (1, 0) for v in a)
 
 
-def all_field_elements(F):
-    return [(c0, c1) for c1 in range(F.p) for c0 in range(F.p)]
+def all_field_elements(p):
+    return [(c0, c1) for c1 in range(p) for c0 in range(p)]
 
 
 def roots_of(coeffs, p, c, seed):
@@ -160,8 +167,8 @@ def roots_of(coeffs, p, c, seed):
             for r, m in zip(roots[0, :counts[0]].tolist(), mults[0, :counts[0]].tolist())}
 
 
-def exhaustive_roots(coeffs, F):
-    return {x for x in all_field_elements(F) if horner(coeffs, *x, F.p, F.c) == (0, 0)}
+def exhaustive_roots(coeffs, p, c):
+    return {x for x in all_field_elements(p) if horner(coeffs, *x, p, c) == (0, 0)}
 
 
 def times_linear(coeffs, r, p, c):
@@ -177,19 +184,19 @@ class TestRootFinding:
     @pytest.mark.parametrize("p", [13, 37])
     def test_random_polynomials_match_exhaustive_scan(self, p):
         rng = random.Random(p)
-        F = Fp2(p)
+        c = nonresidue(p)
         for trial in range(50):
             deg = rng.randint(1, 8)
             coeffs = [(rng.randrange(p), rng.randrange(p)) for _ in range(deg)]
             coeffs.append((1 + rng.randrange(p - 1), rng.randrange(p)))
-            found = roots_of(coeffs, p, F.c, seed=trial)
-            assert set(found) == exhaustive_roots(coeffs, F)
+            found = roots_of(coeffs, p, c, seed=trial)
+            assert set(found) == exhaustive_roots(coeffs, p, c)
             assert all(m >= 1 for m in found.values())
             assert sum(found.values()) <= deg
 
     def test_known_multiplicities_from_linear_factors(self):
         rng = random.Random(7)
-        F = Fp2(13)
+        c = nonresidue(13)
         for trial in range(50):
             deg = rng.randint(1, 8)
             picked = [(rng.randrange(13), rng.randrange(13)) for _ in range(deg)]
@@ -197,20 +204,20 @@ class TestRootFinding:
             coeffs = [(1, 0)]
             for r in picked:
                 expected[r] = expected.get(r, 0) + 1
-                coeffs = times_linear(coeffs, r, 13, F.c)
-            assert roots_of(coeffs, 13, F.c, seed=trial) == expected
+                coeffs = times_linear(coeffs, r, 13, c)
+            assert roots_of(coeffs, 13, c, seed=trial) == expected
 
     def test_seed_independence(self):
-        F = Fp2(37)
+        c = nonresidue(37)
         coeffs = [((k * k + 1) % 37, k) for k in range(9)]
-        base = roots_of(coeffs, 37, F.c, seed=0)
+        base = roots_of(coeffs, 37, c, seed=0)
         for seed in (1, 2, 12345):
-            assert roots_of(coeffs, 37, F.c, seed=seed) == base
+            assert roots_of(coeffs, 37, c, seed=seed) == base
 
     def test_degree_limits(self):
-        F = Fp2(13)
+        c = nonresidue(13)
         with pytest.raises(DomainError, match="zero polynomial"):
-            roots_of([(0, 0)], 13, F.c, seed=0)
+            roots_of([(0, 0)], 13, c, seed=0)
         too_big = np.ones((1, kernels.MAXD + 2, 2), np.int64)
         with pytest.raises(DomainError, match="degree at most 8"):
-            kernels.fp2_poly_roots(too_big, [kernels.MAXD + 1], 13, F.c, 0)
+            kernels.fp2_poly_roots(too_big, [kernels.MAXD + 1], 13, c, 0)

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -15,13 +16,13 @@ import pytest
 from click.testing import CliRunner
 
 import ssig
-from ssig import brandt, classnum, kernels, ssgraph
+from ssig import arith, brandt, classnum, kernels, ssgraph
 from ssig.arith import DomainError, is_prime
 from ssig.brandt import TheoremViolation, vertex_count
 from ssig import cli as cli_module
 from ssig.cli import cli, main
 from ssig.export import GraphCache, graph_from_dict, graph_to_dict
-from ssig.ssgraph import GRAPH_VERTEX_LIMIT, SUPPORTED_ELLS, build_graph
+from ssig.ssgraph import GRAPH_VERTEX_LIMIT, SUPPORTED_ELLS, IsogenyGraph, build_graph
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -206,6 +207,32 @@ class TestExitCodes:
         assert "GRAPH_VERTEX_LIMIT" in capsys.readouterr().err
         assert verified == []
 
+    @pytest.mark.parametrize("argv", [
+        ["--max", "20", "--ell", "13"],
+        ["--max", "20", "--ell", "2", "--ell", "13"],
+    ], ids=["ell = p", "ell = p after a good ell"])
+    def test_sweep_with_ell_equal_to_p_exits_2_before_any_build(self, argv, tmp_path,
+                                                               capsys, monkeypatch):
+        verified = []
+        monkeypatch.setattr(cli_module, "_verify_one",
+                            lambda *args: verified.append(args))
+        assert main(["sweep", *argv, "--cache-dir", str(tmp_path)]) == 2
+        assert "ell must be one of (2, 3, 5, 7), got 13" in capsys.readouterr().err
+        assert verified == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--p", "30013", "--ell1", "7", "--ell2", "11"], "ell must be one of"),
+        (["--p", "25", "--ell1", "2", "--ell2", "3"], "25 is not prime"),
+    ], ids=["ell2", "p"])
+    def test_intersect_refusals_exit_2_before_any_build(self, argv, message, tmp_path,
+                                                        capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli_module, "build_graph",
+                            lambda *args, **kw: built.append(args))
+        assert main(["intersect", *argv, "--cache-dir", str(tmp_path / "fresh")]) == 2
+        assert message in capsys.readouterr().err
+        assert built == []
+
     @pytest.mark.parametrize("p, message", [
         ("193", "--ell2 overlay is only available with --format dot"),
         ("25", "25 is not prime"),
@@ -300,6 +327,13 @@ class TestPublicSurface:
                 for module in (ssig, classnum, brandt, kernels, ssgraph)
                 for name in MOVED_TO_ORACLES if hasattr(module, name)]
         assert left == []
+
+    def test_a_graph_is_its_key_array_and_table(self):
+        gone = [(module.__name__, name) for module in (ssig, arith)
+                for name in ("Fp2", "Fp2Element") if hasattr(module, name)]
+        assert gone == []
+        assert [f.name for f in dataclasses.fields(IsogenyGraph)] == [
+            "p", "ell", "vertices", "table"]
 
     def test_seed_option_is_gone(self, capsys):
         assert main(["verify", "--p", "13", "--ell", "2", "--seed", "1"]) == 2
@@ -406,13 +440,23 @@ class TestCacheRoundTrip:
             loaded = cache.load(p, ell)
             assert loaded is not None, (p, ell)
             assert (loaded.p, loaded.ell) == (p, ell)
-            assert loaded.field == built.field and loaded.field.c == built.field.c
-            assert loaded.vertices == built.vertices
+            assert np.array_equal(loaded.vertices, built.vertices)
+            assert loaded.vertices.dtype == built.vertices.dtype == np.int64
             assert np.array_equal(loaded.table, built.table)
             assert loaded.table.dtype == built.table.dtype == np.int64
 
 
 class TestGraphFromDict:
+    # 45+0*t would alias the key 1*37 + 8 of 8+1*t; 3+37*t spells a key
+    # that round-trips, but its c1 is p
+    @pytest.mark.parametrize("label", ["45+0*t", "08+0*t", "8+0", "-1+0*t", "3+37*t"])
+    def test_label_not_spelled_by_j_labels_is_refused(self, label):
+        doc = graph_to_dict(build_graph(37, 2))
+        assert doc["vertices"][0]["j"] == "8+0*t"
+        doc["vertices"][0]["j"] = label
+        with pytest.raises(DomainError):
+            graph_from_dict(doc)
+
     @pytest.mark.parametrize("field, value", [("ell", 10**9), ("m", 10**9)])
     def test_huge_degree_or_multiplicity_is_refused_before_allocating(self, field, value):
         doc = graph_to_dict(build_graph(37, 2))

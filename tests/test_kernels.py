@@ -6,26 +6,26 @@ import numpy as np
 import pytest
 
 from ssig import batched_roots, kernels
-from ssig.arith import Fp2
+from ssig.arith import nonresidue
 from ssig.brandt import TheoremViolation
 
 from _scalar_roots import _f2mul, _pdiv_linear, horner
 from _scalar_roots import _fp2_poly_roots_one as scalar_roots
 
 
-def times_linear(poly, r, F):
+def times_linear(poly, r, p, c):
     """poly * (Y - r) for a list of (c0, c1) coefficients, lowest first."""
     cs = [(0, 0)] + poly
     for k, coef in enumerate(poly):
-        r0, r1 = _f2mul(*r, *coef, F.p, F.c)
-        cs[k] = ((cs[k][0] - r0) % F.p, (cs[k][1] - r1) % F.p)
+        r0, r1 = _f2mul(*r, *coef, p, c)
+        cs[k] = ((cs[k][0] - r0) % p, (cs[k][1] - r1) % p)
     return cs
 
 
-def random_batch(F, rng, rows):
+def random_batch(p, rng, rows):
     """Polynomials of every degree 1 to 8 in turn: a random monic cofactor
     times random linear factors, some repeated, times a unit."""
-    p, c = F.p, F.c
+    c = nonresidue(p)
     coeffs = np.zeros((rows, kernels.MAXD + 1, 2), np.int64)
     degs = np.zeros(rows, np.int64)
     for i in range(rows):
@@ -35,7 +35,7 @@ def random_batch(F, rng, rows):
         while len(poly) <= deg:
             r = (rng.randrange(p), rng.randrange(p))
             for _ in range(rng.randint(1, deg + 1 - len(poly))):
-                poly = times_linear(poly, r, F)
+                poly = times_linear(poly, r, p, c)
         lead = (1 + rng.randrange(p - 1), rng.randrange(p))
         coeffs[i, :deg + 1] = [_f2mul(*lead, *coef, p, c) for coef in poly]
         degs[i] = deg
@@ -47,26 +47,26 @@ def as_maps(roots, mults, counts):
             for rs, ms, k in zip(roots.tolist(), mults.tolist(), counts.tolist())]
 
 
-def scalar_maps(coeffs, degs, F, seed):
+def scalar_maps(coeffs, degs, p, seed):
     return [{tuple(r): m for r, m in zip(rs[:k].tolist(), ms[:k].tolist())}
-            for rs, ms, k in (scalar_roots(row, deg, F.p, F.c, seed)
+            for rs, ms, k in (scalar_roots(row, deg, p, nonresidue(p), seed)
                               for row, deg in zip(coeffs, degs))]
 
 
 @pytest.mark.parametrize("p,rows", [(13, 40), (37, 40), (10007, 30), (2**31 - 1, 12)])
 def test_batched_matches_scalar_kernel(p, rows):
-    F = Fp2(p)
+    c = nonresidue(p)
     rng = random.Random(p)
-    coeffs, degs = random_batch(F, rng, rows)
-    batched = batched_roots.find_roots(coeffs, degs, p, F.c, seed=5)
-    assert as_maps(*batched) == scalar_maps(coeffs, degs, F, seed=5)
+    coeffs, degs = random_batch(p, rng, rows)
+    batched = batched_roots.find_roots(coeffs, degs, p, c, seed=5)
+    assert as_maps(*batched) == scalar_maps(coeffs, degs, p, seed=5)
 
 
 def test_int64_headroom_roots_checked_by_evaluation():
     p = 2**31 - 1
-    F = Fp2(p)
-    coeffs, degs = random_batch(F, random.Random(1), 12)
-    maps = as_maps(*batched_roots.find_roots(coeffs, degs, p, F.c, seed=0))
+    c = nonresidue(p)
+    coeffs, degs = random_batch(p, random.Random(1), 12)
+    maps = as_maps(*batched_roots.find_roots(coeffs, degs, p, c, seed=0))
     assert sum(len(m) for m in maps) > 12
     for row, deg, found in zip(coeffs, degs, maps):
         for root, mult in found.items():
@@ -74,19 +74,19 @@ def test_int64_headroom_roots_checked_by_evaluation():
             # the last quotient no longer vanishes at the root
             quotient = row.copy()
             for d in range(deg, deg - mult, -1):
-                assert horner(quotient[:d + 1], *root, p, F.c) == (0, 0)
-                assert _pdiv_linear(quotient, d, *root, p, F.c) == 1
-            assert horner(quotient[:deg - mult + 1], *root, p, F.c) != (0, 0)
+                assert horner(quotient[:d + 1], *root, p, c) == (0, 0)
+                assert _pdiv_linear(quotient, d, *root, p, c) == 1
+            assert horner(quotient[:deg - mult + 1], *root, p, c) != (0, 0)
 
 
 def test_rows_without_roots_and_ignored_high_coefficients():
-    F = Fp2(13)
+    c = nonresidue(13)
     coeffs = np.zeros((3, kernels.MAXD + 1, 2), np.int64)
     coeffs[0, 0] = (5, 1)            # nonzero constant
     coeffs[1, :2] = [(1, 0), (1, 0)]   # Y + 1 ...
     coeffs[1, 5] = (7, 7)            # ... above its stated degree
     coeffs[2, :3] = [(1, 0), (0, 0), (1, 0)]  # Y^2 + 1 splits in F_13
-    roots, mults, counts = kernels.fp2_poly_roots(coeffs, [0, 1, 2], 13, F.c, 0)
+    roots, mults, counts = kernels.fp2_poly_roots(coeffs, [0, 1, 2], 13, c, 0)
     assert as_maps(roots, mults, counts) == [{}, {(12, 0): 1},
                                              {(5, 0): 1, (8, 0): 1}]
 
@@ -97,50 +97,50 @@ def all_of_fp2(p):
                     axis=-1).reshape(-1, 2).astype(np.int64)
 
 
-def fp2_square(x, F):
-    return np.array([_f2mul(*a, *a, F.p, F.c) for a in x.tolist()],
+def fp2_square(x, p, c):
+    return np.array([_f2mul(*a, *a, p, c) for a in x.tolist()],
                     np.int64).reshape(-1, 2)
 
 
 @pytest.mark.parametrize("p", [13, 37, 257])
 def test_fp2_sqrt_matches_brute_force_on_all_of_fp2(p):
     # 257 - 1 = 2^8: Tonelli-Shanks takes every one of its steps
-    F = Fp2(p)
+    c = nonresidue(p)
     field = all_of_fp2(p)
-    squares = {tuple(v) for v in fp2_square(field, F).tolist()}
-    x, ok = batched_roots._fp2_sqrt(field, p, F.c)
+    squares = {tuple(v) for v in fp2_square(field, p, c).tolist()}
+    x, ok = batched_roots._fp2_sqrt(field, p, c)
     assert ok.tolist() == [tuple(a) in squares for a in field.tolist()]
     assert len(squares) == (p * p + 1) // 2
-    assert np.array_equal(fp2_square(x[ok], F), field[ok])
+    assert np.array_equal(fp2_square(x[ok], p, c), field[ok])
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 998244353])
 def test_fp2_sqrt_on_random_elements(p):
     # 998244353 - 1 = 119 * 2^23
-    F = Fp2(p)
+    c = nonresidue(p)
     rng = np.random.default_rng(p)
     roots = rng.integers(0, p, (200, 2))
-    squares = fp2_square(roots, F)
-    x, ok = batched_roots._fp2_sqrt(squares, p, F.c)
+    squares = fp2_square(roots, p, c)
+    x, ok = batched_roots._fp2_sqrt(squares, p, c)
     assert ok.all()
     assert all(tuple(a) in (tuple(r), tuple(-r % p))
                for a, r in zip(x.tolist(), roots))
     # a is a square in F_p^2 exactly when its norm is a square in F_p
     a = rng.integers(0, p, (200, 2))
-    x, ok = batched_roots._fp2_sqrt(a, p, F.c)
-    norms = [(a0 * a0 - F.c * a1 * a1) % p for a0, a1 in a.tolist()]
+    x, ok = batched_roots._fp2_sqrt(a, p, c)
+    norms = [(a0 * a0 - c * a1 * a1) % p for a0, a1 in a.tolist()]
     assert ok.tolist() == [pow(n, (p - 1) // 2, p) in (0, 1) for n in norms]
     assert 50 < ok.sum() < 150
-    assert np.array_equal(fp2_square(x[ok], F), a[ok])
+    assert np.array_equal(fp2_square(x[ok], p, c), a[ok])
 
 
 @pytest.mark.parametrize("p,rows", [(13, 40), (37, 40), (10007, 30), (2**31 - 1, 12)])
 def test_known_roots_deflated_match_scalar_kernel(p, rows):
     # each row told some of its distinct roots, in shuffled order
-    F = Fp2(p)
+    c = nonresidue(p)
     rng = random.Random(p + 1)
-    coeffs, degs = random_batch(F, rng, rows)
-    expected = scalar_maps(coeffs, degs, F, seed=5)
+    coeffs, degs = random_batch(p, rng, rows)
+    expected = scalar_maps(coeffs, degs, p, seed=5)
     known = np.zeros((rows, kernels.MAXD, 2), np.int64)
     known_counts = np.zeros(rows, np.int64)
     for i, row in enumerate(expected):
@@ -148,32 +148,35 @@ def test_known_roots_deflated_match_scalar_kernel(p, rows):
         known[i, :len(told)] = np.reshape(told, (-1, 2))
         known_counts[i] = len(told)
     assert known_counts.sum() > rows // 2
-    found = kernels.fp2_poly_roots(coeffs, degs, p, F.c, 5, known, known_counts)
+    found = kernels.fp2_poly_roots(coeffs, degs, p, c, 5, known, known_counts)
     assert as_maps(*found) == expected
+    # the slots past each row's count are zero, as _neighbour_keys relies on
+    past = np.arange(kernels.MAXD) >= found[2][:, None]
+    assert not found[0][past].any() and not found[1][past].any()
     # and each root once: a known root the residual has too is not repeated
     assert found[2].tolist() == [len(row) for row in expected]
 
 
 def test_known_root_that_leaves_a_remainder_raises():
-    F = Fp2(13)
+    c = nonresidue(13)
     coeffs = np.zeros((2, kernels.MAXD + 1, 2), np.int64)
     coeffs[0, :3] = [(12, 0), (0, 0), (1, 0)]  # Y^2 - 1
     coeffs[1, :3] = [(12, 0), (0, 0), (1, 0)]
     known = np.array([[(1, 0), (12, 0)], [(1, 0), (2, 0)]])
     with pytest.raises(TheoremViolation, match=r"known root \(2, 0\) of row 1"):
-        kernels.fp2_poly_roots(coeffs, [2, 2], 13, F.c, 0, known, [2, 2])
+        kernels.fp2_poly_roots(coeffs, [2, 2], 13, c, 0, known, [2, 2])
 
 
 def test_quadratics_in_closed_form():
-    F = Fp2(13)
+    c = nonresidue(13)
     coeffs = np.zeros((3, kernels.MAXD + 1, 2), np.int64)
     coeffs[0, :3] = [(4, 0), (4, 0), (1, 0)]  # (Y + 2)^2
-    coeffs[1, :3] = [(F.c, 0), (0, 0), (12, 0)]  # c - Y^2: roots +-t
+    coeffs[1, :3] = [(c, 0), (0, 0), (12, 0)]  # c - Y^2: roots +-t
     # Y^2 - t has no root in F_p^2: t is not a square there, its norm -c
     # not being a square mod 13
     coeffs[2, :3] = [(0, 12), (0, 0), (1, 0)]
-    assert pow(-F.c % 13, 6, 13) == 12
-    assert as_maps(*kernels.fp2_poly_roots(coeffs, [2, 2, 2], 13, F.c, 0)) == [
+    assert pow(-c % 13, 6, 13) == 12
+    assert as_maps(*kernels.fp2_poly_roots(coeffs, [2, 2, 2], 13, c, 0)) == [
         {(11, 0): 2}, {(0, 1): 1, (0, 12): 1}, {}]
 
 
@@ -184,10 +187,10 @@ LATER_ROUND_ROOTS = [(0, 11), (1, 2), (1, 12), (2, 11), (3, 4), (4, 4), (6, 7), 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_factors_left_by_the_first_round_split_in_later_rounds(seed, monkeypatch):
-    F = Fp2(13)
+    p, c = 13, nonresidue(13)
     poly = [(1, 0)]
     for r in LATER_ROUND_ROOTS:
-        poly = times_linear(poly, r, F)
+        poly = times_linear(poly, r, p, c)
     coeffs = np.array([poly], np.int64)
     chains = []
     powmod = batched_roots._powmod_shift
@@ -197,8 +200,8 @@ def test_factors_left_by_the_first_round_split_in_later_rounds(seed, monkeypatch
         return powmod(low, *args)
 
     monkeypatch.setattr(batched_roots, "_powmod_shift", counted)
-    found = kernels.fp2_poly_roots(coeffs, [8], 13, F.c, seed)
+    found = kernels.fp2_poly_roots(coeffs, [8], 13, c, seed)
     # one chain for the four first-round shifts, then single-shift rounds
     assert chains[0] == 4 and chains[1:] and set(chains[1:]) == {1}
-    assert as_maps(*found) == scalar_maps(coeffs, [8], F, seed) == [
+    assert as_maps(*found) == scalar_maps(coeffs, [8], p, seed) == [
         dict.fromkeys(LATER_ROUND_ROOTS, 1)]

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 from collections import Counter
 
 import numpy as np
@@ -5,19 +7,19 @@ import pytest
 
 from ssig import kernels
 from ssig.analytics import graph_stats
-from ssig.arith import DomainError, Fp2, Fp2Element
+from ssig.arith import DomainError, nonresidue
 from ssig.brandt import TheoremViolation, brandt_powers, trace_formula, vertex_count
 from ssig.export import graph_to_dict
 from ssig.ssgraph import (
     SUPPORTED_ELLS,
-    IsogenyGraph,
-    _element,
     _modpoly_matrix,
     _neighbour_keys,
     _specialize,
     build_graph,
     check_structure,
     find_supersingular_seed,
+    j_labels,
+    parse_j_labels,
     validate_modpoly_table,
 )
 
@@ -26,15 +28,10 @@ from _oracles import curve_trace_sum, neighbors
 from _scalar_roots import scalar_neighbors, scalar_specialize
 
 
-def key(jv, p):
-    """The j-key c1*p + c0 of a vertex, as build_graph's BFS uses it."""
-    return jv.c1 * p + jv.c0
-
-
 def bfs_layers(g):
     """BFS layers of ``g`` from its seed vertex, read off the final table,
     and for each vertex the set of its neighbours one layer nearer the seed."""
-    layers = [[g.vertices.index(find_supersingular_seed(g.p))]]
+    layers = [[g.vertices.tolist().index(find_supersingular_seed(g.p))]]
     dist = {layers[0][0]: 0}
     while True:
         nxt = []
@@ -59,11 +56,11 @@ class TestModpolyTable:
 
 class TestSeed:
     def test_p13_unique_seed(self):
-        assert find_supersingular_seed(13) == Fp2Element(5, 0)
+        assert find_supersingular_seed(13) == 5
 
     def test_seed_curve_has_trace_zero(self):
         for p in (13, 109, 193):
-            j = find_supersingular_seed(p).c0
+            j = find_supersingular_seed(p)
             k = (1728 - j) % p
             a = 3 * j * k % p
             b = 2 * j * k * k % p
@@ -78,32 +75,31 @@ class TestSpecialize:
     @pytest.mark.parametrize("p", [109, 433])
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
     def test_matches_scalar_specialize_on_every_vertex(self, graphs, p, ell):
-        F = Fp2(p)
+        c = nonresidue(p)
         vertices = graphs(p, ell).vertices
-        expected = np.array([scalar_specialize(p, F.c, j, ell) for j in vertices])
-        assert np.array_equal(_specialize(F, _modpoly_matrix(ell, p), vertices), expected)
+        expected = np.array([scalar_specialize(p, c, (j % p, j // p), ell)
+                             for j in vertices.tolist()])
+        assert np.array_equal(_specialize(p, c, _modpoly_matrix(ell, p), vertices),
+                              expected)
 
 
 class TestNeighbors:
     def test_out_degree(self):
-        F = Fp2(109)
         g = build_graph(109, 3)
-        for jval in g.vertices:
-            mults = neighbors(F, jval, 3)
+        for j in g.vertices.tolist():
+            mults = neighbors(109, j, 3)
             assert sum(mults.values()) == 4
 
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
     def test_maps_match_scalar_kernel_on_object_specialization(self, graphs, ell):
         # Phi_ell(j, Y) specialised by scalar powers of j, roots by the
         # scalar kernel
-        F = Fp2(109)
-        for jval in graphs(109, ell).vertices:
-            assert neighbors(F, jval, ell) == scalar_neighbors(F, jval, ell)
+        c = nonresidue(109)
+        for j in graphs(109, ell).vertices.tolist():
+            assert neighbors(109, j, ell) == scalar_neighbors(109, c, j, ell)
 
     def test_smallest_graph_neighbors(self):
-        F = Fp2(13)
-        j = Fp2Element(5, 0)
-        assert neighbors(F, j, 2) == {j: 3}
+        assert neighbors(13, 5, 2) == {5: 3}
 
 
 class TestBuildGraph:
@@ -137,8 +133,8 @@ class TestBuildGraph:
         assert brandt_powers(g, 1)[1].T.tolist() == dense(g).tolist()
 
     def test_no_extra_automorphism_vertices(self, graphs):
-        for jv in graphs(109, 2).vertices:
-            assert not (jv.c1 == 0 and jv.c0 in (0, 1728 % 109))
+        for j in graphs(109, 2).vertices.tolist():
+            assert j not in (0, 1728 % 109)
 
     def test_deterministic_across_seeds(self, monkeypatch):
         # build_graph passes splitting seed 0; another seed builds the same graph
@@ -152,7 +148,7 @@ class TestBuildGraph:
         monkeypatch.setattr(kernels, "fp2_poly_roots", other_seed)
         b = build_graph(109, 2)
         assert seeds and set(seeds) == {0}
-        assert a.vertices == b.vertices
+        assert np.array_equal(a.vertices, b.vertices)
         assert np.array_equal(a.table, b.table)
         assert graph_to_dict(a) == graph_to_dict(b)
 
@@ -168,19 +164,19 @@ class TestBuildGraph:
         known = np.zeros((g.n, known_counts.max(), 2), np.int64)
         for v, ks in nearer.items():
             for slot, k in enumerate(sorted(ks)):
-                known[v, slot] = g.vertices[k]
-        coeffs = _specialize(g.field, _modpoly_matrix(ell, p), g.vertices)
+                known[v, slot] = g.vertices[k] % p, g.vertices[k] // p
+        c = nonresidue(p)
+        coeffs = _specialize(p, c, _modpoly_matrix(ell, p), g.vertices)
         degs = np.full(g.n, ell + 1)
-        base = kernels.fp2_poly_roots(coeffs, degs, p, g.field.c, 0)
+        base = kernels.fp2_poly_roots(coeffs, degs, p, c, 0)
         for seed in (0, 1, 12345, 2**32 - 1):
             for given in ((), (known, known_counts)):
-                found = kernels.fp2_poly_roots(coeffs, degs, p, g.field.c, seed, *given)
+                found = kernels.fp2_poly_roots(coeffs, degs, p, c, seed, *given)
                 assert all(np.array_equal(a, b) for a, b in zip(found, base))
         # and those roots are the graph's table
         roots, mults, _ = base
-        vertex_keys = np.array([key(jv, p) for jv in g.vertices])
         root_keys = np.repeat((roots[..., 1] * p + roots[..., 0]).ravel(), mults.ravel())
-        rows = np.searchsorted(vertex_keys, root_keys.reshape(g.n, ell + 1))
+        rows = np.searchsorted(g.vertices, root_keys.reshape(g.n, ell + 1))
         assert np.array_equal(np.sort(rows, axis=1), g.table)
 
     def test_multiplicity_reads_the_table(self, graphs):
@@ -204,8 +200,52 @@ class TestBuildGraph:
 
 
 def _with_table(g, table):
-    return IsogenyGraph(p=g.p, ell=g.ell, field=g.field, vertices=g.vertices,
-                        table=np.asarray(table, dtype=np.int64))
+    return dataclasses.replace(g, table=np.asarray(table, dtype=np.int64))
+
+
+def _with_vertex(g, j):
+    """``g`` with the j-key ``j`` in place of the vertex it sorts at, so
+    that the keys stay increasing."""
+    vertices = g.vertices.copy()
+    vertices[min(np.searchsorted(vertices, j), g.n - 1)] = j
+    return dataclasses.replace(g, vertices=vertices)
+
+
+class TestJLabels:
+    def test_spelling(self):
+        assert j_labels([5, 3 * 13 + 5, 13 * 13 - 1], 13) == ["5+0*t", "5+3*t", "12+12*t"]
+
+    def test_parse_inverts_every_vertex_label(self, graphs):
+        g = graphs(433, 5)
+        keys = parse_j_labels(j_labels(g.vertices, 433), 433)
+        assert keys.dtype == np.int64 and np.array_equal(keys, g.vertices)
+
+
+class TestHandMadeVertices:
+    """A vertex array that is not the sorted j-keys of Lambda_p(ell) is a
+    theorem violation for check_structure, each kind with its message."""
+
+    def graphs(self, g):
+        """name -> (graph, what the refusal says)"""
+        v, rest = g.vertices, list(range(2, g.n))
+        # one more vertex, carrying ell + 1 loops, keeps the table regular
+        extra = dataclasses.replace(g, vertices=np.append(v, g.p * g.p - 1),
+                                    table=np.vstack((g.table, np.full(g.ell + 1, g.n))))
+        increasing = "vertices are not strictly increasing in (c1, c0) order"
+        return {"vertex count": (extra, "vertex count 10 != class-number formula 9"),
+                "key >= p^2": (_with_vertex(g, g.p * g.p),
+                               "a vertex coordinate lies outside [0, p)"),
+                "swapped": (dataclasses.replace(g, vertices=v[[1, 0, *rest]]), increasing),
+                "repeated": (dataclasses.replace(g, vertices=v[[0, 0, *rest]]), increasing),
+                "j = 0": (_with_vertex(g, 0), "a vertex is j = 0 or 1728"),
+                "j = 1728": (_with_vertex(g, 1728 % g.p), "a vertex is j = 0 or 1728")}
+
+    @pytest.mark.parametrize("name", ["vertex count", "key >= p^2", "swapped", "repeated",
+                                      "j = 0", "j = 1728"])
+    def test_check_structure_refuses(self, graphs, name):
+        bad, says = self.graphs(graphs(109, 3))[name]
+        with pytest.raises(TheoremViolation, match=re.escape(f"p=109, ell=3: {says}")):
+            check_structure(bad)
 
 
 class TestHandMadeTables:
@@ -243,54 +283,57 @@ class TestDeflatedRootFinder:
     @pytest.mark.parametrize("p", [109, 433, 1009])
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
     def test_build_graph_matches_vertex_by_vertex_oracle(self, graphs, p, ell):
-        # BFS from the seed, one undeflated Phi_ell(j, Y) per vertex
-        F = Fp2(p)
+        # BFS from the seed, one undeflated Phi_ell(j, Y) per vertex, j-key
+        # c1*p + c0 listed in (c1, c0) order
+        c = nonresidue(p)
         order = [find_supersingular_seed(p)]
         rows = {}
-        for jval in order:
-            rows[jval] = scalar_neighbors(F, jval, ell)
-            order += [nb for nb in rows[jval] if nb not in rows and nb not in order]
-        vertices = sorted(order, key=lambda jv: (jv.c1, jv.c0))
-        index = {jv: i for i, jv in enumerate(vertices)}
+        for j in order:
+            rows[j] = scalar_neighbors(p, c, j, ell)
+            order += [nb for nb in rows[j] if nb not in rows and nb not in order]
+        vertices = sorted(order, key=lambda j: divmod(j, p))
+        index = {j: i for i, j in enumerate(vertices)}
         adjacency = np.zeros((len(vertices), len(vertices)), np.int64)
-        for jval, row in rows.items():
+        for j, row in rows.items():
             for nb, mult in row.items():
-                adjacency[index[jval], index[nb]] = mult
+                adjacency[index[j], index[nb]] = mult
         g = graphs(p, ell)
-        assert g.vertices == vertices
+        assert g.vertices.dtype == np.int64
+        assert g.vertices.tolist() == vertices
         assert np.array_equal(dense(g), adjacency)
 
     def test_planted_wrong_known_neighbour_raises(self, graphs):
         g = graphs(109, 3)
-        F, table = g.field, _modpoly_matrix(3, 109)
-        u, v = g.vertices[0], g.vertices[1]
-        right = [key(g.vertices[k], 109) for k in np.unique(g.table[1])]
-        wrong = next(key(jv, 109) for k, jv in enumerate(g.vertices)
+        c, table = nonresidue(109), _modpoly_matrix(3, 109)
+        u, v = g.vertices[:2].tolist()
+        right = g.vertices[np.unique(g.table[1])].tolist()
+        wrong = next(j for k, j in enumerate(g.vertices.tolist())
                      if g.multiplicity(0, k) == 0)
         # the true neighbours deflate cleanly, in any slot
-        rows = _neighbour_keys(F, table, [key(u, 109), key(v, 109)], [[], right[::-1]])
-        maps = [dict(Counter(_element(k, 109) for k in row)) for row in rows.tolist()]
-        assert maps == [neighbors(F, u, 3), neighbors(F, v, 3)]
+        rows = _neighbour_keys(109, c, table, [u, v], [[], right[::-1]])
+        maps = [dict(Counter(row)) for row in rows.tolist()]
+        assert maps == [neighbors(109, u, 3), neighbors(109, v, 3)]
         with pytest.raises(TheoremViolation, match="leaves the remainder") as err:
-            _neighbour_keys(F, table, [key(v, 109), key(u, 109)], [right, [wrong]])
-        assert f"of j={u}" in str(err.value)
+            _neighbour_keys(109, c, table, [v, u], [right, [wrong]])
+        assert f"of j={u % 109}+{u // 109}*t (p=109" in str(err.value)
         assert "p=109" in str(err.value) and "ell=3" in str(err.value)
 
     def test_quadratic_residual_without_roots_raises(self):
         # an ordinary j whose Phi_2(j, Y) has one simple root r in F_p^2 and
         # no other: with r known, the residual is a quadratic whose
         # discriminant is not a square in F_p^2
-        F = Fp2(13)
+        c = nonresidue(13)
         table = _modpoly_matrix(2, 13)
-        jval, r = next((jv, next(iter(row)))
-                       for jv in (Fp2Element(a, b) for a in range(13) for b in range(13))
-                       for row in [scalar_neighbors(F, jv, 2)]
-                       if list(row.values()) == [1])
+        j, r = next((j, next(iter(row)))
+                    for j in (b * 13 + a for a in range(13) for b in range(13))
+                    for row in [scalar_neighbors(13, c, j, 2)]
+                    if list(row.values()) == [1])
         roots, mults, counts = kernels.fp2_poly_roots(
-            _specialize(F, table, [jval]), [3], 13, F.c, 0, [[r]], [1])
-        assert (counts[0], tuple(roots[0, 0]), mults[0, 0]) == (1, tuple(r), 1)
-        with pytest.raises(TheoremViolation, match="out-degree is not 3"):
-            _neighbour_keys(F, table, [key(jval, 13)], [[key(r, 13)]])
+            _specialize(13, c, table, [j]), [3], 13, c, 0, [[(r % 13, r // 13)]], [1])
+        assert (counts[0], tuple(roots[0, 0]), mults[0, 0]) == (1, (r % 13, r // 13), 1)
+        with pytest.raises(TheoremViolation,
+                           match=re.escape(f"out-degree is not 3 at j={j % 13}+{j // 13}*t")):
+            _neighbour_keys(13, c, table, [j], [[r]])
 
 
 class TestKnownNeighbourHandOff:
@@ -302,15 +345,15 @@ class TestKnownNeighbourHandOff:
     def test_each_vertex_gets_its_neighbours_one_layer_nearer(self, graphs, monkeypatch,
                                                               p, ell):
         g = graphs(p, ell)
-        rows = _specialize(g.field, _modpoly_matrix(ell, p), g.vertices)
+        rows = _specialize(p, nonresidue(p), _modpoly_matrix(ell, p), g.vertices)
         vertex_of_row = {row.tobytes(): v for v, row in enumerate(rows)}
         assert len(vertex_of_row) == g.n
-        index = {jv: i for i, jv in enumerate(g.vertices)}
+        index = {j: i for i, j in enumerate(g.vertices.tolist())}
         find, calls = kernels.fp2_poly_roots, []
 
         def record(coeffs, degs, p, c, seed, known, known_counts):
             calls.append([(vertex_of_row[row.tobytes()],
-                           sorted(index[Fp2Element(*r)] for r in ks[:k].tolist()))
+                           sorted(index[r1 * p + r0] for r0, r1 in ks[:k].tolist()))
                           for row, ks, k in zip(coeffs, known, known_counts)])
             return find(coeffs, degs, p, c, seed, known, known_counts)
 
