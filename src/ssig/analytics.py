@@ -17,7 +17,6 @@ from .brandt import (
     TheoremViolation,
     brandt_powers,
     check_trace_degree,
-    neighbour_table,
     trace_formula,
     vertex_count,
 )
@@ -91,7 +90,7 @@ class BirouteReport:
 def graph_stats(g):
     """All loop/multi-edge statistics of a graph, with identities asserted."""
     n, ell = g.n, g.ell
-    nbr = neighbour_table(g)  # refuses a table not symmetric or not regular
+    nbr = g.table
     i, k, mult = g.edges()
     loops = i == k
     loop_count = int(mult[loops].sum())

@@ -1,6 +1,8 @@
 """Exact arithmetic: Kronecker symbols, primality, and the nonresidue that
 fixes F_p^2."""
 
+import functools
+
 P_LIMIT = 1 << 31  # keeps every kernel product inside int64
 
 
@@ -38,6 +40,14 @@ def is_prime(n):
         else:
             return False
     return True
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def cached_is_prime(n):
+    """``is_prime`` computed once per n: every graph, trace and class-number
+    check asks about the same p again.  ``find_first_prime``'s scan of up
+    to 10^6 candidates calls the uncached ``is_prime``."""
+    return is_prime(n)
 
 
 def kronecker(a, n):
@@ -99,7 +109,7 @@ def nonresidue(p):
     a reproducible coordinate pair across runs and machines; the
     arithmetic runs on int64 (c0, c1) arrays in ``kernels``.
     """
-    if not is_prime(p):
+    if not cached_is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p < 3 or p >= P_LIMIT:
         raise DomainError(f"p must be an odd prime below 2^31, got {p}")

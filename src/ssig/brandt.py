@@ -2,7 +2,9 @@
 
 Two independent routes to the same traces: the Hecke-style matrix
 recurrences starting from B(ell), and the Hurwitz class-number trace
-formula.  Tests and the verify command cross-validate them.
+formula.  Tests and the verify command cross-validate them.  A graph's
+table was checked to be a symmetric, (ell+1)-regular B(ell) when the
+graph was made (``ssgraph.IsogenyGraph``).
 """
 
 import math
@@ -10,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import DomainError, is_prime
+from .arith import DomainError, cached_is_prime
 from .classnum import HURWITZ_D_LIMIT, hurwitz_modified
 
 ENTRY_LIMIT = 1 << 40  # row sums above this risk int64 trouble downstream
@@ -18,23 +20,6 @@ ENTRY_LIMIT = 1 << 40  # row sums above this risk int64 trouble downstream
 
 class TheoremViolation(AssertionError):
     """An identity that is a theorem failed; indicates an internal bug."""
-
-
-def neighbour_table(g):
-    """The (n, ell+1) neighbour table of ``g``, checked to be that of a
-    symmetric, (ell+1)-regular B(ell): rows of ell+1 entries in [0, n),
-    each sorted, and the keys k*n + i of the transposed entries, sorted,
-    equal to the row-major keys i*n + k."""
-    t, n, ell = g.table, g.n, g.ell
-    if t.shape != (n, ell + 1):
-        raise DomainError(f"rows of B({ell}) must all sum to {ell + 1}")
-    if (t[:, 1:] < t[:, :-1]).any():
-        raise DomainError(f"rows of the neighbour table of B({ell}) must be sorted")
-    if (t[:, 0] < 0).any() or (t[:, -1] >= n).any():  # the rows are sorted
-        raise DomainError(f"neighbours in B({ell}) must lie in [0, {n})")
-    if not np.array_equal(np.sort((t * n + np.arange(n)[:, None]).ravel()), g.keys()):
-        raise DomainError(f"B({ell}) must be symmetric")
-    return t
 
 
 def brandt_powers(g, k):
@@ -50,11 +35,9 @@ def brandt_powers(g, k):
     if k < 0:
         raise DomainError(f"exponent must be >= 0, got {k}")
     ell = g.ell
-    if not is_prime(ell):
-        raise DomainError(f"base degree {ell} is not prime")
     if (ell ** (k + 1) - 1) // (ell - 1) > ENTRY_LIMIT:
         raise DomainError(f"entries of B({ell}^{k}) exceed the supported range")
-    nbr, n = neighbour_table(g), g.n
+    nbr, n = g.table, g.n
     powers = [np.eye(n, dtype=np.int64)]
     if k == 0:
         return powers
@@ -86,7 +69,7 @@ def trace_formula(p, m):
 
     Non-integral or negative results mean an arithmetic bug, not bad input.
     """
-    if p < 5 or not is_prime(p):
+    if p < 5 or not cached_is_prime(p):
         raise DomainError(f"p must be a prime >= 5, got {p}")
     if m < 1 or m % p == 0:
         raise DomainError(f"m must be a positive integer coprime to p, got m={m}")
@@ -105,7 +88,7 @@ def trace_formula(p, m):
 
 def vertex_count(p):
     """Number of supersingular j-invariants over F_p-bar, p >= 5."""
-    if p < 5 or not is_prime(p):
+    if p < 5 or not cached_is_prime(p):
         raise DomainError(f"p must be a prime >= 5, got {p}")
     extra = {1: 0, 5: 1, 7: 1, 11: 2}[p % 12]
     return p // 12 + extra

@@ -3,7 +3,6 @@
 Hurwitz class numbers are exact rationals; 24 * H(D) is always an integer.
 """
 
-import functools
 import math
 import threading
 from fractions import Fraction
@@ -11,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import DomainError, factor, is_prime, kronecker
+from .arith import DomainError, cached_is_prime, factor, kronecker
 
 
 class DiscriminantDecomposition(NamedTuple):
@@ -42,8 +41,6 @@ HURWITZ_D_LIMIT = 4_000_000
 
 _hurwitz_cache = {}
 _hurwitz_lock = threading.Lock()
-# trace_formula(p, m) asks about the same p once for each of its terms
-_is_prime = functools.cache(is_prime)
 
 
 def _isqrt_array(x):
@@ -120,7 +117,7 @@ def hurwitz_modified(D, p):
     when p divides the conductor (Gross, Heights and special values of
     L-series, 1987, section 1).  H_p(0) = (p-1)/24.
     """
-    if p < 5 or not _is_prime(p):
+    if p < 5 or not cached_is_prime(p):
         raise DomainError(f"hurwitz_modified requires a prime p >= 5, got {p}")
     if D < 0:
         raise DomainError(f"hurwitz_modified requires D >= 0, got {D}")

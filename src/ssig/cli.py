@@ -255,7 +255,7 @@ def sweep(pmax, ells, out, cache_dir):
         for p in range(13, pmax + 1, 12):
             if not is_prime(p):
                 continue
-            for ell in ells:
+            for ell in dict.fromkeys(ells):  # a repeated --ell is verified once
                 check_graph_args(p, ell)
                 pairs.append((p, ell))
         rows = []

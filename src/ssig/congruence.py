@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import DomainError, is_prime, kronecker
+from .arith import DomainError, cached_is_prime, is_prime, kronecker
 from .brandt import trace_formula, vertex_count
 from .classnum import decompose
 
@@ -119,7 +119,7 @@ def derive_congruences(prop):
 
 def holds_by_trace(prop, p):
     """Exact predicate for the property at a specific prime, via traces."""
-    if not is_prime(p) or p < 5:
+    if not cached_is_prime(p) or p < 5:
         raise DomainError(f"p must be a prime >= 5, got {p}")
     if p in prop.ells:
         raise DomainError(f"p={p} coincides with ell")

@@ -1,5 +1,6 @@
 """Graph export formats (JSON, DOT) and the file-backed graph cache; both
-formats label a vertex by its j-invariant c0+c1*t, ``ssgraph.j_labels``."""
+formats label a vertex by its j-invariant c0+c1*t, ``ssgraph.j_labels``.
+A graph read back is an ``IsogenyGraph``, so it is checked as it is made."""
 
 import json
 import os
@@ -9,8 +10,7 @@ import numpy as np
 
 from .arith import DomainError, nonresidue
 from .brandt import TheoremViolation
-from .ssgraph import (SUPPORTED_ELLS, IsogenyGraph, check_structure, j_labels,
-                      parse_j_labels)
+from .ssgraph import IsogenyGraph, check_graph_args, j_labels, parse_j_labels
 
 EXPORT_VERSION = 1
 
@@ -37,15 +37,15 @@ def graph_to_dict(g, stats=None):
 
 
 def graph_from_dict(doc):
-    """The graph of an export document; every edge record is checked
-    before any array is sized by it."""
+    """The graph of an export document; (p, ell) is refused as
+    ``build_graph`` refuses it, and every edge record is checked, before
+    any array is sized by them."""
     if doc.get("version") != EXPORT_VERSION:
         raise DomainError(f"unsupported export version {doc.get('version')}")
     p, ell = doc["p"], doc["ell"]
+    check_graph_args(p, ell)
     if nonresidue(p) != doc["c"]:
         raise DomainError("field nonresidue in file disagrees with construction")
-    if ell not in SUPPORTED_ELLS:
-        raise DomainError(f"ell must be one of {SUPPORTED_ELLS}, got {ell}")
     records = doc["vertices"]
     if [v["index"] for v in records] != list(range(len(records))):
         raise DomainError("vertex records are not indexed 0..n-1 in order")
@@ -111,8 +111,8 @@ class GraphCache:
 
     def load(self, p, ell):
         """The cached graph for (p, ell), or None if the entry is missing,
-        damaged, stale, holds another key, or fails ``check_structure``;
-        the caller rebuilds it."""
+        damaged, stale, holds another key, or is not a Lambda_p(ell); the
+        caller rebuilds it."""
         path = self._path(p, ell)
         if not os.path.exists(path):
             return None
@@ -121,9 +121,7 @@ class GraphCache:
                 doc = json.load(fh)
             if doc["p"] != p or doc["ell"] != ell:
                 return None
-            g = graph_from_dict(doc)
-            check_structure(g)
-            return g
+            return graph_from_dict(doc)
         except (KeyError, ValueError, TypeError, AttributeError, IndexError,
                 OverflowError, RecursionError, TheoremViolation):
             return None

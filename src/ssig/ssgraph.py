@@ -7,9 +7,9 @@ c1*t in F_p^2 = F_p[t]/(t^2 - c), c = ``arith.nonresidue(p)``, is the
 integer c1*p + c0, below p^2, so keys sort in the canonical (c1, c0)
 order.  A graph is its sorted int64 array of vertex keys and its
 (n, ell+1) neighbour table, which holds the Brandt matrix B(ell) row by
-row; ``check_structure`` asserts every structural theorem about it, on
-each graph built and on each graph read from the cache.  ``j_labels`` and
-``parse_j_labels`` are the one text spelling of a key, c0+c1*t.
+row; making an ``IsogenyGraph`` runs ``check_structure``, which asserts
+every structural theorem about it.  ``j_labels`` and ``parse_j_labels``
+are the one text spelling of a key, c0+c1*t.
 """
 
 from dataclasses import dataclass
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .arith import DomainError, is_prime, nonresidue
-from .brandt import TheoremViolation, neighbour_table, trace_formula, vertex_count
+from .arith import DomainError, cached_is_prime, nonresidue
+from .brandt import TheoremViolation, trace_formula, vertex_count
 from ._modpoly_data import MODULAR_POLYNOMIALS
 
 SUPPORTED_ELLS = (2, 3, 5, 7)
@@ -57,17 +57,21 @@ for _ell in SUPPORTED_ELLS:
     validate_modpoly_table(_ell)
 
 
-@dataclass
+@dataclass(frozen=True)
 class IsogenyGraph:
     """Multigraph Lambda_p(ell): the strictly increasing int64 array of
     vertex j-keys, and the neighbour table, the (n, ell+1) int64 array
     whose sorted row i lists the neighbours of vertex i, an m-fold one m
-    times: row i of B(ell), spelled out."""
+    times: row i of B(ell), spelled out.  Making one runs
+    ``check_structure``, so what is not a Lambda_p(ell) is refused."""
 
     p: int
     ell: int
     vertices: np.ndarray
     table: np.ndarray
+
+    def __post_init__(self):
+        check_structure(self)
 
     @property
     def n(self):
@@ -115,7 +119,7 @@ def find_supersingular_seed(p):
 
 
 def _check_graph_prime(p):
-    if not is_prime(p):
+    if not cached_is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % 12 != 1:
         raise DomainError(
@@ -259,32 +263,39 @@ def build_graph(p, ell):
     keys = sorted(rows)
     nbr = np.searchsorted(keys, np.array([rows[k] for k in keys]))
     nbr.sort(axis=1)
-    g = IsogenyGraph(p=p, ell=ell, vertices=np.array(keys, dtype=np.int64), table=nbr)
-    check_structure(g)
-    return g
+    return IsogenyGraph(p=p, ell=ell, vertices=np.array(keys, dtype=np.int64), table=nbr)
 
 
 def check_structure(g):
-    """Raise ``TheoremViolation`` unless ``g`` is a well-formed Lambda_p(ell).
-
-    Every graph passes here, whether just built or read from the cache;
-    the neighbour table is checked first, as the trace is read off it.
-    """
-    p, ell = g.p, g.ell
-    try:
-        neighbour_table(g)
-    except DomainError as err:
-        raise TheoremViolation(f"p={p}, ell={ell}: {err}") from err
-    keys = g.vertices  # a key in [0, p^2) has both coordinates in [0, p)
-    n_formula, trace = vertex_count(p), trace_formula(p, ell)
-    checks = (
-        (g.n == n_formula, f"vertex count {g.n} != class-number formula {n_formula}"),
-        (((0 <= keys) & (keys < p * p)).all(), "a vertex coordinate lies outside [0, p)"),
-        ((keys[1:] > keys[:-1]).all(),
-         "vertices are not strictly increasing in (c1, c0) order"),
-        (not ((keys == 0) | (keys == 1728 % p)).any(), "a vertex is j = 0 or 1728"),
-        (g.trace() == trace, f"loop count {g.trace()} != trace formula {trace}"),
-    )
-    for ok, what in checks:
+    """Raise ``DomainError`` unless ``build_graph`` accepts (p, ell), and
+    ``TheoremViolation`` unless ``g`` is a well-formed Lambda_p(ell);
+    ``IsogenyGraph`` runs it on every graph it makes."""
+    check_graph_args(g.p, g.ell)
+    for ok, what in _structure(g):
         if not ok:
-            raise TheoremViolation(f"p={p}, ell={ell}: {what}")
+            raise TheoremViolation(f"p={g.p}, ell={g.ell}: {what}")
+
+
+def _structure(g):
+    """(holds, what it says) of each structural theorem about ``g``, each
+    computed only once those before it hold.  The table comes first, as
+    the trace is read off it: rows of ell+1 sorted entries in [0, n), and
+    B(ell) symmetric, as its transposed keys k*n + i, sorted, equal the
+    row-major keys i*n + k."""
+    p, ell, n, t = g.p, g.ell, g.n, g.table
+    yield t.shape == (n, ell + 1), f"rows of B({ell}) must all sum to {ell + 1}"
+    yield ((t[:, 1:] >= t[:, :-1]).all(),
+           f"rows of the neighbour table of B({ell}) must be sorted")
+    yield ((t[:, 0] >= 0).all() and (t[:, -1] < n).all(),  # the rows are sorted
+           f"neighbours in B({ell}) must lie in [0, {n})")
+    yield (np.array_equal(np.sort((t * n + np.arange(n)[:, None]).ravel()), g.keys()),
+           f"B({ell}) must be symmetric")
+    keys = g.vertices  # a key in [0, p^2) has both coordinates in [0, p)
+    n_formula = vertex_count(p)
+    yield n == n_formula, f"vertex count {n} != class-number formula {n_formula}"
+    yield ((0 <= keys) & (keys < p * p)).all(), "a vertex coordinate lies outside [0, p)"
+    yield ((keys[1:] > keys[:-1]).all(),
+           "vertices are not strictly increasing in (c1, c0) order")
+    yield not ((keys == 0) | (keys == 1728 % p)).any(), "a vertex is j = 0 or 1728"
+    loops, trace = g.trace(), trace_formula(p, ell)
+    yield loops == trace, f"loop count {loops} != trace formula {trace}"

@@ -15,7 +15,7 @@ from ssig.analytics import (
     intersection_number,
 )
 from ssig.arith import DomainError, is_prime
-from ssig.brandt import trace_formula
+from ssig.brandt import TheoremViolation, trace_formula
 from ssig.ssgraph import IsogenyGraph
 
 from _dense import dense
@@ -84,8 +84,8 @@ class TestAgainstDenseOracle:
 
     def test_every_one_unit_asymmetric_move_raises(self, graphs):
         """One table entry j of row i moved to k != j keeps the row at
-        ell+1 entries but breaks symmetry; graph_stats must refuse each
-        such graph, check_structure aside."""
+        ell+1 entries but breaks symmetry; no such graph can be made, so
+        none reaches graph_stats."""
         g = graphs(109, 3)
         moves = 0
         for i, row in enumerate(g.table):
@@ -96,10 +96,8 @@ class TestAgainstDenseOracle:
                     table = g.table.copy()
                     table[i, np.flatnonzero(row == j)[0]] = k
                     table[i].sort()
-                    bad = IsogenyGraph(p=g.p, ell=g.ell, vertices=g.vertices,
-                                       table=table)
-                    with pytest.raises(DomainError, match="symmetric"):
-                        graph_stats(bad)
+                    with pytest.raises(TheoremViolation, match="symmetric"):
+                        IsogenyGraph(p=g.p, ell=g.ell, vertices=g.vertices, table=table)
                     moves += 1
         assert moves == 256
 

@@ -131,6 +131,24 @@ class TestGraphCommands:
         assert lines[0] == "p,ell,n,loops,redundant,trace_checks_passed"
         assert "109,3,9,4,3,yes" in lines
 
+    def test_sweep_verifies_a_repeated_ell_once(self, runner, cache):
+        out = invoke(runner, "sweep", "--max", "40", "--ell", "2", "--ell", "3",
+                     "--ell", "2", "--cache-dir", cache)
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+            ["13", "2"], ["13", "3"], ["37", "2"], ["37", "3"]]
+
+    def test_stats_from_a_warm_cache_tests_each_p_for_primality_once(
+            self, runner, cache, monkeypatch):
+        invoke(runner, "stats", "--p", "1009", "--ell", "2", "--cache-dir", cache)
+        tested = []
+        for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "ssig"]:
+            if getattr(module, "is_prime", None) is is_prime:
+                monkeypatch.setattr(module, "is_prime",
+                                    lambda n: tested.append(n) or is_prime(n))
+        arith.cached_is_prime.cache_clear()
+        invoke(runner, "stats", "--p", "1009", "--ell", "2", "--cache-dir", cache)
+        assert 1009 in tested and len(tested) == len(set(tested))
+
 
 class TestExitCodes:
     def test_success(self, tmp_path):
@@ -455,6 +473,18 @@ class TestGraphFromDict:
         assert doc["vertices"][0]["j"] == "8+0*t"
         doc["vertices"][0]["j"] = label
         with pytest.raises(DomainError):
+            graph_from_dict(doc)
+
+    # Lambda_p(2) past the limit has 8193 vertices; the second document's
+    # one vertex with three loops is well formed, but is not that graph
+    @pytest.mark.parametrize("vertices, edges", [
+        ([], []), ([{"index": 0, "j": "5+0*t"}], [{"i": 0, "j": 0, "m": 3}])])
+    def test_p_past_the_vertex_limit_is_refused_before_sizing_arrays(self, vertices,
+                                                                     edges):
+        p = 98317
+        doc = {"version": 1, "p": p, "ell": 2, "c": arith.nonresidue(p),
+               "vertices": vertices, "edges": edges}
+        with pytest.raises(DomainError, match="GRAPH_VERTEX_LIMIT"):
             graph_from_dict(doc)
 
     @pytest.mark.parametrize("field, value", [("ell", 10**9), ("m", 10**9)])

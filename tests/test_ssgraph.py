@@ -5,18 +5,16 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ssig import kernels
-from ssig.analytics import graph_stats
+from ssig import kernels, ssgraph
 from ssig.arith import DomainError, nonresidue
 from ssig.brandt import TheoremViolation, brandt_powers, trace_formula, vertex_count
-from ssig.export import graph_to_dict
+from ssig.export import GraphCache, graph_from_dict, graph_to_dict
 from ssig.ssgraph import (
     SUPPORTED_ELLS,
     _modpoly_matrix,
     _neighbour_keys,
     _specialize,
     build_graph,
-    check_structure,
     find_supersingular_seed,
     j_labels,
     parse_j_labels,
@@ -203,12 +201,12 @@ def _with_table(g, table):
     return dataclasses.replace(g, table=np.asarray(table, dtype=np.int64))
 
 
-def _with_vertex(g, j):
-    """``g`` with the j-key ``j`` in place of the vertex it sorts at, so
-    that the keys stay increasing."""
+def _vertices_with(g, j):
+    """The vertices of ``g`` with the j-key ``j`` in place of the vertex it
+    sorts at, so that the keys stay increasing."""
     vertices = g.vertices.copy()
     vertices[min(np.searchsorted(vertices, j), g.n - 1)] = j
-    return dataclasses.replace(g, vertices=vertices)
+    return vertices
 
 
 class TestJLabels:
@@ -223,34 +221,37 @@ class TestJLabels:
 
 class TestHandMadeVertices:
     """A vertex array that is not the sorted j-keys of Lambda_p(ell) is a
-    theorem violation for check_structure, each kind with its message."""
+    theorem violation when the graph is made, each kind with its message."""
 
-    def graphs(self, g):
-        """name -> (graph, what the refusal says)"""
+    def changes(self, g):
+        """name -> (fields that replace those of ``g``, what the refusal says)"""
         v, rest = g.vertices, list(range(2, g.n))
         # one more vertex, carrying ell + 1 loops, keeps the table regular
-        extra = dataclasses.replace(g, vertices=np.append(v, g.p * g.p - 1),
-                                    table=np.vstack((g.table, np.full(g.ell + 1, g.n))))
+        extra = {"vertices": np.append(v, g.p * g.p - 1),
+                 "table": np.vstack((g.table, np.full(g.ell + 1, g.n)))}
         increasing = "vertices are not strictly increasing in (c1, c0) order"
         return {"vertex count": (extra, "vertex count 10 != class-number formula 9"),
-                "key >= p^2": (_with_vertex(g, g.p * g.p),
+                "key >= p^2": ({"vertices": _vertices_with(g, g.p * g.p)},
                                "a vertex coordinate lies outside [0, p)"),
-                "swapped": (dataclasses.replace(g, vertices=v[[1, 0, *rest]]), increasing),
-                "repeated": (dataclasses.replace(g, vertices=v[[0, 0, *rest]]), increasing),
-                "j = 0": (_with_vertex(g, 0), "a vertex is j = 0 or 1728"),
-                "j = 1728": (_with_vertex(g, 1728 % g.p), "a vertex is j = 0 or 1728")}
+                "swapped": ({"vertices": v[[1, 0, *rest]]}, increasing),
+                "repeated": ({"vertices": v[[0, 0, *rest]]}, increasing),
+                "j = 0": ({"vertices": _vertices_with(g, 0)}, "a vertex is j = 0 or 1728"),
+                "j = 1728": ({"vertices": _vertices_with(g, 1728 % g.p)},
+                             "a vertex is j = 0 or 1728")}
 
     @pytest.mark.parametrize("name", ["vertex count", "key >= p^2", "swapped", "repeated",
                                       "j = 0", "j = 1728"])
     def test_check_structure_refuses(self, graphs, name):
-        bad, says = self.graphs(graphs(109, 3))[name]
+        g = graphs(109, 3)
+        fields, says = self.changes(g)[name]
         with pytest.raises(TheoremViolation, match=re.escape(f"p=109, ell=3: {says}")):
-            check_structure(bad)
+            dataclasses.replace(g, **fields)
 
 
 class TestHandMadeTables:
     """A table that is not a sorted (n, ell+1) table of vertex indices is
-    a theorem violation for check_structure and bad input for graph_stats."""
+    a theorem violation when the graph is made, so neither graph_stats
+    nor any other reader of the table is ever handed one."""
 
     def tables(self, g):
         """name -> (table, what the refusal says)"""
@@ -268,15 +269,35 @@ class TestHandMadeTables:
         g = graphs(109, 3)
         assert len(set(g.table[0].tolist())) > 1  # so reversing unsorts row 0
         table, says = self.tables(g)[name]
-        bad = _with_table(g, table)
         with pytest.raises(TheoremViolation, match=f"p=109, ell=3: .*{says}"):
-            check_structure(bad)
-        with pytest.raises(DomainError, match=says):
-            graph_stats(bad)
+            _with_table(g, table)
 
     def test_genuine_table_passes(self, graphs):
         g = graphs(109, 3)
-        check_structure(_with_table(g, g.table))
+        assert np.array_equal(_with_table(g, g.table.copy()).table, g.table)
+
+
+class TestCheckedOnce:
+    def test_each_way_of_making_a_graph_checks_it_once(self, graphs, monkeypatch,
+                                                        tmp_path):
+        g = graphs(109, 3)
+        cache = GraphCache(str(tmp_path))
+        cache.store(g)
+        checked, check = [], ssgraph.check_structure
+        monkeypatch.setattr(ssgraph, "check_structure",
+                            lambda graph: checked.append(graph) or check(graph))
+        makers = {"build_graph": lambda: build_graph(109, 3),
+                  "graph_from_dict": lambda: graph_from_dict(graph_to_dict(g)),
+                  "GraphCache.load": lambda: cache.load(109, 3),
+                  "dataclasses.replace": lambda: dataclasses.replace(g)}
+        for name, make in makers.items():
+            checked.clear()
+            made = make()
+            assert len(checked) == 1 and checked[0] is made, name
+
+    def test_a_graph_is_frozen(self, graphs):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dataclasses.replace(graphs(109, 3)).table = None
 
 
 class TestDeflatedRootFinder:
