@@ -13,17 +13,11 @@ from typing import Optional
 import numpy as np
 
 from .arith import DomainError, factor
-from .brandt import (
-    TheoremViolation,
-    brandt_powers,
-    check_trace_degree,
-    trace_formula,
-    vertex_count,
-)
+from .brandt import TheoremViolation, brandt_powers, check_trace_degree, trace_formula
 
-# Bytes the matrix routes of biroute may hold: each keeps 2 (R+1) dense
-# n x n int64 Brandt powers.  n = 2501 (p = 30013) fits up to R = 4.
-BIROUTE_BYTES_LIMIT = 1 << 29
+# Entries in one column block of a Brandt power in biroute's matrix routes:
+# one block at n <= 1024, and 128 columns at n = 8189.
+BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -167,18 +161,9 @@ def edit_distance(g1, g2):
     return value
 
 
-def _cyclic_counts(g, amax):
-    """C(ell^a) matrices for a = 1..amax: B(ell^a) - B(ell^(a-2))."""
-    powers = brandt_powers(g, amax)
-    # in place from the top, so powers[a - 2] is still B(ell^(a-2)) when read
-    for a in range(amax, 1, -1):
-        powers[a] -= powers[a - 2]
-    return powers[1:]
-
-
-def check_biroute_args(p, ell1, ell2, R, method="all"):
-    """Raise ``DomainError`` unless ``biroute`` accepts these arguments for
-    graphs over p, which need not be built yet."""
+def check_biroute_args(ell1, ell2, R, method="all"):
+    """Raise ``DomainError`` unless ``biroute`` accepts these arguments,
+    before any graph is built."""
     if ell1 == ell2:
         raise DomainError("bi-route number needs two distinct primes ell")
     if not 1 <= R <= 5:
@@ -187,54 +172,65 @@ def check_biroute_args(p, ell1, ell2, R, method="all"):
         raise DomainError(f"unknown method {method!r}")
     if method in ("hurwitz", "all"):
         check_trace_degree((ell1 * ell2) ** R)
-    n = vertex_count(p)
-    held = 2 * (R + 1) * n * n * 8
-    if method != "hurwitz" and held > BIROUTE_BYTES_LIMIT:
-        raise DomainError(
-            f"matrix routes would hold {held} bytes of Brandt powers (n={n}, "
-            f"R={R}), above BIROUTE_BYTES_LIMIT = {BIROUTE_BYTES_LIMIT}"
-        )
+
+
+def _column_blocks(n):
+    """[0, n) split into runs of max(1, BLOCK_ENTRIES // n) columns."""
+    width = max(1, BLOCK_ENTRIES // n)
+    return np.split(np.arange(n), range(width, n, width))
+
+
+def _definitional(g1, g2, R):
+    """Entrywise sum of C(ell1^a) * C(ell2^b) over 1 <= a, b <= R, one
+    column block at a time; a block's powers are freed before the next."""
+    def block(c1, c2):
+        for c in (c1, c2):
+            # from the top, so c[a - 2] is still B(ell^(a-2)) when read
+            for a in range(R, 1, -1):
+                c[a] -= c[a - 2]
+        return sum(int((x * y).sum()) for x in c1[1:] for y in c2[1:])
+
+    return sum(block(brandt_powers(g1, R, cols), brandt_powers(g2, R, cols))
+               for cols in _column_blocks(g1.n))
+
+
+def _telescoped(g1, g2, R):
+    """n plus the eight signed entrywise sums of B(ell1^a) * B(ell2^b), one
+    column block at a time; a block's powers are freed before the next."""
+    terms = ((R, R, 1), (R - 1, R, 1), (R, R - 1, 1), (R - 1, R - 1, 1),
+             (R, 0, -1), (R - 1, 0, -1), (0, R, -1), (0, R - 1, -1))
+
+    def block(P1, P2):
+        return sum(sign * int((P1[a] * P2[b]).sum()) for a, b, sign in terms)
+
+    return g1.n + sum(block(brandt_powers(g1, R, cols), brandt_powers(g2, R, cols))
+                      for cols in _column_blocks(g1.n))
 
 
 def biroute(g1, g2, R, method="all"):
     """R-th bi-route number of two isogeny graphs over the same prime.
 
     definitional: counts pairs of backtracking-free path classes directly
-    from the cyclic-isogeny matrices C(ell^a).
+    from the cyclic-isogeny matrices C(ell^a) = B(ell^a) - B(ell^(a-2)).
     telescoped: the trace expression in the mixed Brandt matrices
     B(ell1^a ell2^b) = B(ell1^a) B(ell2^b).  Both factors are symmetric,
     so each trace is the entrywise sum of B(ell1^a) * B(ell2^b).
     hurwitz: the same expression with every trace from the class-number
     formula (no matrices involved).
 
-    Each matrix route computes its own Brandt powers.  Inputs for which a
-    matrix route would hold more than BIROUTE_BYTES_LIMIT bytes of them
-    are rejected by ``check_biroute_args`` before any route runs.
+    Each matrix route needs only entrywise sums, which split over column
+    blocks, so it computes its own Brandt powers a block of columns at a
+    time and holds 2 (R+1) blocks of n x max(1, BLOCK_ENTRIES // n)
+    entries; the routes share nothing.
     """
     _check_pair(g1, g2)
     p, l1, l2, n = g1.p, g1.ell, g2.ell, g1.n
-    check_biroute_args(p, l1, l2, R, method)  # before any route does work
+    check_biroute_args(l1, l2, R, method)  # before any route does work
     vals = {}
     if method in ("definitional", "all"):
-        c1 = _cyclic_counts(g1, R)
-        c2 = _cyclic_counts(g2, R)
-        total = 0
-        for a1 in range(R):
-            for a2 in range(R):
-                total += int((c1[a1] * c2[a2]).sum())
-        vals["definitional"] = total
-        del c1, c2  # so that the routes' powers are not held at once
+        vals["definitional"] = _definitional(g1, g2, R)
     if method in ("telescoped", "all"):
-        P1 = brandt_powers(g1, R)
-        P2 = brandt_powers(g2, R)
-
-        def tr(a, b):
-            return int((P1[a] * P2[b]).sum())
-
-        vals["telescoped"] = (
-            tr(R, R) + tr(R - 1, R) + tr(R, R - 1) + tr(R - 1, R - 1)
-            - tr(R, 0) - tr(R - 1, 0) - tr(0, R) - tr(0, R - 1) + n
-        )
+        vals["telescoped"] = _telescoped(g1, g2, R)
     if method in ("hurwitz", "all"):
         def trf(a, b):
             m = l1**a * l2**b

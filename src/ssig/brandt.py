@@ -1,10 +1,10 @@
 """Brandt matrices from neighbour tables, and their traces via class numbers.
 
 Two independent routes to the same traces: the Hecke-style matrix
-recurrences starting from B(ell), and the Hurwitz class-number trace
-formula.  Tests and the verify command cross-validate them.  A graph's
-table was checked to be a symmetric, (ell+1)-regular B(ell) when the
-graph was made (``ssgraph.IsogenyGraph``).
+recurrence, a gather over the neighbour table, and the Hurwitz
+class-number trace formula.  Tests and the verify command cross-validate
+them.  A graph's table was checked to be a symmetric, (ell+1)-regular
+B(ell) when the graph was made (``ssgraph.IsogenyGraph``).
 """
 
 import math
@@ -22,14 +22,16 @@ class TheoremViolation(AssertionError):
     """An identity that is a theorem failed; indicates an internal bug."""
 
 
-def brandt_powers(g, k):
-    """[B(1), B(ell), ..., B(ell^k)] of the graph ``g``, as n x n int64
-    arrays: B(ell) counted from the neighbour table, then the Hecke
-    recurrence B(ell^j) = B(ell) B(ell^(j-1)) - ell B(ell^(j-2)).
+def brandt_powers(g, k, cols=None):
+    """[B(1), B(ell), ..., B(ell^k)] of the graph ``g``, each restricted
+    to the columns ``cols`` (all n of them when None), as n x len(cols)
+    int64 arrays: the identity's columns, then the Hecke recurrence
+    B(ell^j) = B(ell) B(ell^(j-1)) - ell B(ell^(j-2)), with B(ell^-1) = 0.
 
     B(ell) is (ell+1)-regular, so the product is a gather over the table:
     row i of B(ell) M is the sum of the rows of M at the ell+1 neighbours
-    of i, which costs O(n^2 ell) instead of O(n^3).  Every B(ell^j) is a
+    of i, which costs O(n ell) per column instead of O(n^2), and the
+    columns of M give those of the product.  Every B(ell^j) is a
     polynomial in the symmetric B(ell), so all of them are symmetric.
     """
     if k < 0:
@@ -38,19 +40,19 @@ def brandt_powers(g, k):
     if (ell ** (k + 1) - 1) // (ell - 1) > ENTRY_LIMIT:
         raise DomainError(f"entries of B({ell}^{k}) exceed the supported range")
     nbr, n = g.table, g.n
-    powers = [np.eye(n, dtype=np.int64)]
-    if k == 0:
-        return powers
-    powers.append(np.bincount(g.keys(), minlength=n * n).reshape(n, n))
-    for _ in range(2, k + 1):
+    cols = np.arange(n) if cols is None else cols
+    powers = [np.zeros((n, len(cols)), dtype=np.int64)]
+    powers[0][cols, np.arange(len(cols))] = 1
+    for j in range(1, k + 1):
         cur = powers[-1]
-        # one (n, n) gather at a time keeps the peak at O(n^2)
+        # one gather at a time, so at most one temporary beside nxt
         nxt = cur[nbr[:, 0]]
         for c in range(1, ell + 1):
             nxt += cur[nbr[:, c]]
-        nxt -= ell * powers[-2]
-        if (nxt < 0).any():
-            raise TheoremViolation("Brandt recurrence produced a negative entry")
+        if j > 1:  # only the subtraction can make an entry negative
+            nxt -= ell * powers[-2]
+            if (nxt < 0).any():
+                raise TheoremViolation("Brandt recurrence produced a negative entry")
         powers.append(nxt)
     return powers
 

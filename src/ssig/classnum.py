@@ -4,7 +4,6 @@ Hurwitz class numbers are exact rationals; 24 * H(D) is always an integer.
 """
 
 import math
-import threading
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -40,7 +39,6 @@ def decompose(D):
 HURWITZ_D_LIMIT = 4_000_000
 
 _hurwitz_cache = {}
-_hurwitz_lock = threading.Lock()
 
 
 def _isqrt_array(x):
@@ -99,14 +97,9 @@ def hurwitz(D):
         )
     if D == 0:
         return Fraction(-1, 12)
-    with _hurwitz_lock:
-        cached = _hurwitz_cache.get(D)
-    if cached is not None:
-        return cached
-    total = _reduced_form_count(D) if D % 4 in (0, 3) else Fraction(0)
-    with _hurwitz_lock:
-        _hurwitz_cache[D] = total
-    return total
+    if D not in _hurwitz_cache:
+        _hurwitz_cache[D] = _reduced_form_count(D) if D % 4 in (0, 3) else Fraction(0)
+    return _hurwitz_cache[D]
 
 
 def hurwitz_modified(D, p):

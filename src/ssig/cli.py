@@ -185,7 +185,7 @@ def biroute_cmd(p, ell1, ell2, r, method, cache_dir):
     """R-th bi-route number by up to three independent routes."""
     check_graph_args(p, ell1)
     check_graph_args(p, ell2)
-    check_biroute_args(p, ell1, ell2, r, method)  # before any graph is built
+    check_biroute_args(ell1, ell2, r, method)  # before any graph is built
     g1 = _load_or_build(p, ell1, cache_dir)
     g2 = _load_or_build(p, ell2, cache_dir)
     rep = biroute(g1, g2, r, method=method)

@@ -72,6 +72,9 @@ class IsogenyGraph:
 
     def __post_init__(self):
         check_structure(self)
+        for name in ("vertices", "table"):  # so the checked arrays stay as checked
+            object.__setattr__(self, name, getattr(self, name).copy())
+            getattr(self, name).setflags(write=False)
 
     @property
     def n(self):
@@ -278,11 +281,16 @@ def check_structure(g):
 
 def _structure(g):
     """(holds, what it says) of each structural theorem about ``g``, each
-    computed only once those before it hold.  The table comes first, as
-    the trace is read off it: rows of ell+1 sorted entries in [0, n), and
+    computed only once those before it hold.  Both arrays must first be
+    int64 ndarrays, of 1 and 2 dimensions.  The table comes next, as the
+    trace is read off it: rows of ell+1 sorted entries in [0, n), and
     B(ell) symmetric, as its transposed keys k*n + i, sorted, equal the
     row-major keys i*n + k."""
-    p, ell, n, t = g.p, g.ell, g.n, g.table
+    p, ell, t = g.p, g.ell, g.table
+    for name, a, ndim in (("vertices", g.vertices, 1), ("table", t, 2)):
+        yield (isinstance(a, np.ndarray) and a.dtype == np.int64 and a.ndim == ndim,
+               f"{name} must be a {ndim}-d int64 array")
+    n = g.n
     yield t.shape == (n, ell + 1), f"rows of B({ell}) must all sum to {ell + 1}"
     yield ((t[:, 1:] >= t[:, :-1]).all(),
            f"rows of the neighbour table of B({ell}) must be sorted")

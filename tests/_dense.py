@@ -2,8 +2,9 @@
 
 ``dense(g)`` counts the neighbour table into an n x n int64 matrix with
 ``np.add.at``, one unit per table entry.  It shares no code with the
-``np.bincount`` that ``ssig.brandt.brandt_powers`` uses for B(ell), so
-tests can use it as their oracle for that and for every dense formula.
+gather by which ``ssig.brandt.brandt_powers`` computes B(ell) and its
+powers, so tests can use it as their oracle for those and for every
+dense formula.
 """
 
 import numpy as np

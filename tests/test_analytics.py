@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ssig import analytics
 from ssig.analytics import (
-    BIROUTE_BYTES_LIMIT,
     biroute,
     biroute_bound,
     biroute_bound_closed,
@@ -202,24 +202,15 @@ class TestBiroute:
         assert rep.value <= rep.upper_bound
         assert graph_stats(g2).trace_l2 == trace_formula(10009, 4)
 
-    def test_byte_limit_admits_p30013_up_to_r3(self):
-        n = 2501  # vertex count at p = 30013
-        assert 2 * (3 + 1) * n * n * 8 <= BIROUTE_BYTES_LIMIT
-        assert 2 * (5 + 1) * n * n * 8 > BIROUTE_BYTES_LIMIT
-
-    def test_byte_limit_is_checked_before_any_route(self, graphs, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("a matrix route ran before the byte-limit check")
-
-        monkeypatch.setattr("ssig.analytics._cyclic_counts", unreachable)
-        monkeypatch.setattr("ssig.analytics.brandt_powers", unreachable)
-        g2, g3 = graphs(109, 2), graphs(109, 3)
-        held = 2 * (2 + 1) * 9 * 9 * 8
-        monkeypatch.setattr("ssig.analytics.BIROUTE_BYTES_LIMIT", held - 1)
-        for method in ("definitional", "telescoped", "all"):
-            with pytest.raises(DomainError, match="BIROUTE_BYTES_LIMIT"):
-                biroute(g2, g3, 2, method=method)
-        assert biroute(g2, g3, 2, method="hurwitz").value == 136
+    @pytest.mark.parametrize("width", [1, 8])
+    @pytest.mark.parametrize("p", [109, 1009])
+    def test_routes_agree_over_column_blocks(self, graphs, monkeypatch, p, width):
+        # 8 columns leave a ragged last block at n = 9 and at n = 84
+        monkeypatch.setattr(analytics, "BLOCK_ENTRIES", width * graphs(p, 2).n)
+        for l1, l2 in itertools.combinations(ELLS, 2):
+            for R in (1, 2, 3):
+                rep = biroute(graphs(p, l1), graphs(p, l2), R)
+                assert rep.value_definitional == rep.value_telescoped == rep.value_hurwitz
 
     def test_domain(self, graphs):
         g2, g3 = graphs(109, 2), graphs(109, 3)
@@ -234,7 +225,7 @@ class TestBiroute:
         def unreachable(*args):
             raise AssertionError("a route ran before the trace-degree check")
 
-        monkeypatch.setattr("ssig.analytics._cyclic_counts", unreachable)
+        monkeypatch.setattr("ssig.analytics.brandt_powers", unreachable)
         g5, g7 = graphs(109, 5), graphs(109, 7)
         for R in (4, 5):
             with pytest.raises(DomainError, match="HURWITZ_D_LIMIT"):

@@ -151,6 +151,15 @@ class TestGatherRecurrence:
                 assert (got.sum(axis=1) == sigma_coprime(ell**k, p)).all()
                 assert np.trace(got) == trace_formula(p, ell**k), (p, ell, k)
 
+    @pytest.mark.parametrize("ell", [2, 7])
+    def test_shuffled_columns_match_dense_products(self, graphs, ell):
+        g = graphs(1009, ell)
+        cols = np.random.default_rng(ell).permutation(g.n)[:20]
+        want = dense_powers(dense(g), ell, 4)
+        for k, got in enumerate(brandt_powers(g, 4, cols)):
+            assert got.shape == (g.n, 20)
+            assert np.array_equal(got, want[k][:, cols]), k
+
     def test_rejects_irregular_base(self, graphs):
         g = graphs(109, 2)
         with pytest.raises(TheoremViolation, match="sum to 3"):

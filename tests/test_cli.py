@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import ssig
 from ssig import arith, brandt, classnum, kernels, ssgraph
@@ -271,9 +272,7 @@ class TestExitCodes:
         (["--p", "109", "--ell1", "3", "--ell2", "3", "--r", "1"],
          "bi-route number needs two distinct primes ell"),
         (["--p", "109", "--ell1", "5", "--ell2", "7", "--r", "4"], "HURWITZ_D_LIMIT"),
-        (["--p", "30013", "--ell1", "2", "--ell2", "3", "--r", "5",
-          "--method", "telescoped"], "BIROUTE_BYTES_LIMIT"),
-    ], ids=["R", "equal-ell", "hurwitz-degree", "bytes"])
+    ], ids=["R", "equal-ell", "hurwitz-degree"])
     def test_biroute_refusals_exit_2_before_any_build(self, argv, message, tmp_path,
                                                       capsys, monkeypatch):
         built = []
@@ -282,6 +281,13 @@ class TestExitCodes:
         assert main(["biroute", *argv, "--cache-dir", str(tmp_path / "fresh")]) == 2
         assert message in capsys.readouterr().err
         assert built == []
+
+    def test_biroute_at_p30013_runs_to_r5(self, tmp_path, capsys):
+        assert main(["biroute", "--p", "30013", "--ell1", "2", "--ell2", "3", "--r", "5",
+                     "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:4] == ["I_30013(2,3,5) = 45314", "  definitional 45314",
+                           "  telescoped   45314", "  hurwitz      45314"]
 
     def test_overlay_of_ell_zero_exits_2(self, tmp_path, capsys):
         assert main(["graph", "--p", "37", "--ell", "2", "--format", "dot", "--ell2", "0",
@@ -329,6 +335,37 @@ class TestExitCodes:
         code = main(["verify", "--p", "109", "--ell", "2",
                      "--cache-dir", str(tmp_path / "c")])
         assert code == 3
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    """One cache for every example of a property test, so each graph is
+    built once."""
+    return str(tmp_path_factory.mktemp("cache"))
+
+
+class TestBirouteExitContract:
+    # derandomized, so tier-1 runs the same examples, at the same cost, each time
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(p=st.sampled_from([p for p in range(13, 400, 12) if is_prime(p)])
+           | st.integers(-30, 400),
+           ell1=st.sampled_from([2, 3, 5, 7, 0, 1, 4, 11]),
+           ell2=st.sampled_from([2, 3, 5, 7, 0, 1, 4, 11]),
+           r=st.integers(-1, 7),
+           method=st.sampled_from(["definitional", "telescoped", "hurwitz", "all"]))
+    def test_exits_0_with_equal_routes_under_the_bound_or_2(self, shared_cache, p, ell1,
+                                                          ell2, r, method):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["biroute", "--p", str(p), "--ell1", str(ell1), "--ell2", str(ell2),
+                       "--r", str(r), "--method", method, "--cache-dir", shared_cache])
+        assert rc in (0, 2), err.getvalue()
+        if rc == 0:
+            head, *routes, bound = out.getvalue().splitlines()
+            value = int(head.split(" = ")[1])
+            assert len(routes) == (3 if method == "all" else 1)
+            assert all(int(line.split()[-1]) == value for line in routes)
+            assert bound.startswith("  upper bound") and value <= int(bound.split()[-1])
 
 
 MOVED_TO_ORACLES = ("class_number", "unit_factor", "is_fundamental", "_squarefree",

@@ -11,6 +11,7 @@ from ssig.brandt import TheoremViolation, brandt_powers, trace_formula, vertex_c
 from ssig.export import GraphCache, graph_from_dict, graph_to_dict
 from ssig.ssgraph import (
     SUPPORTED_ELLS,
+    IsogenyGraph,
     _modpoly_matrix,
     _neighbour_keys,
     _specialize,
@@ -298,6 +299,25 @@ class TestCheckedOnce:
     def test_a_graph_is_frozen(self, graphs):
         with pytest.raises(dataclasses.FrozenInstanceError):
             dataclasses.replace(graphs(109, 3)).table = None
+
+    def test_its_arrays_are_read_only_copies(self, graphs):
+        g = graphs(109, 3)
+        vertices, table = g.vertices.copy(), g.table.copy()
+        made = IsogenyGraph(p=109, ell=3, vertices=vertices, table=table)
+        for a in (made.vertices, made.table):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 5
+        vertices[0], table[0, 0] = 5, 5  # the caller's arrays stay writable
+        assert made.vertices[0] == g.vertices[0] and made.table[0, 0] == g.table[0, 0]
+
+    @pytest.mark.parametrize("cast", [
+        lambda a: a.astype(np.float64), lambda a: a.astype(np.int32), lambda a: a.tolist(),
+    ], ids=["float64", "int32", "list"])
+    @pytest.mark.parametrize("name", ["vertices", "table"])
+    def test_anything_but_int64_arrays_is_refused(self, graphs, cast, name):
+        g = graphs(109, 3)
+        with pytest.raises(TheoremViolation, match=f"{name} must be a [12]-d int64 array"):
+            dataclasses.replace(g, **{name: cast(getattr(g, name))})
 
 
 class TestDeflatedRootFinder:

@@ -24,3 +24,4 @@ def test_compare_exports_queries_find_no_difference_between_a_tree_and_itself(ca
     assert "8 exports compared" in out
     assert "16 query outputs compared: 0 differ" in out
     assert "10 intersect outputs for the other ell-pairs compared: 0 differ" in out
+    assert "30 biroute outputs for the other ell-pairs compared: 0 differ" in out

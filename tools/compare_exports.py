@@ -8,10 +8,10 @@ Each tree runs in its own subprocess, the two side by side, and writes
 and every ell in {2, 3, 5, 7}, building each graph into a fresh cache.
 With ``--queries`` each tree also answers, for every such p and from that
 cache, ``stats --json`` for each ell, ``intersect --ell1 2 --ell2 3`` and
-``biroute --ell1 2 --ell2 3 --r R`` for R = 1, 2, 3, and ``intersect`` for
-the other five ell-pairs, and it writes the DOT overlay
-``graph --ell 2 --ell2 3 --format dot``; the exit code, stdout and stderr
-of each are compared together.
+``biroute --ell1 2 --ell2 3 --r R`` for R = 1, 2, 3, and ``intersect`` and
+``biroute`` at R = 1, 2, 3 for the other five ell-pairs, and it writes the
+DOT overlay ``graph --ell 2 --ell2 3 --format dot``; the exit code, stdout
+and stderr of each are compared together.
 Prints one line per output that differs or fails, then a summary; exits
 1 if any output differs or fails, else 0.
 """
@@ -26,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 ELLS = (2, 3, 5, 7)
+OTHER_PAIRS = [pair for pair in itertools.combinations(ELLS, 2) if pair != (2, 3)]
 
 
 def primes(p_max):
@@ -58,8 +59,16 @@ def other_intersects(p_max):
     """(file name, ssig argv) for ``intersect`` at every ell-pair but (2, 3)."""
     return [(f"p{p}_intersect_{l1}{l2}.txt",
              ["intersect", "--p", str(p), "--ell1", str(l1), "--ell2", str(l2)])
-            for p in primes(p_max)
-            for l1, l2 in itertools.combinations(ELLS, 2) if (l1, l2) != (2, 3)]
+            for p in primes(p_max) for l1, l2 in OTHER_PAIRS]
+
+
+def other_biroutes(p_max):
+    """(file name, ssig argv) for ``biroute`` at R = 1, 2, 3 and every
+    ell-pair but (2, 3)."""
+    return [(f"p{p}_biroute_{l1}{l2}_r{r}.txt",
+             ["biroute", "--p", str(p), "--ell1", str(l1), "--ell2", str(l2),
+              "--r", str(r)])
+            for p in primes(p_max) for l1, l2 in OTHER_PAIRS for r in (1, 2, 3)]
 
 
 def dot_exports(p_max):
@@ -91,7 +100,8 @@ def worker(src, out, p_max, with_queries):
                 target.write_text(f"exit {rc}\n")
         if not with_queries:
             return
-        for name, argv in queries(p_max) + other_intersects(p_max) + dot_exports(p_max):
+        for name, argv in (queries(p_max) + other_intersects(p_max)
+                           + other_biroutes(p_max) + dot_exports(p_max)):
             stdout, stderr = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
                 rc = ssig(argv + ["--cache-dir", cache])
@@ -146,6 +156,8 @@ def main(argv=None):
             for what, asked in (("query outputs", queries(args.p_max)),
                                 ("intersect outputs for the other ell-pairs",
                                  other_intersects(args.p_max)),
+                                ("biroute outputs for the other ell-pairs",
+                                 other_biroutes(args.p_max)),
                                 ("DOT exports", dot_exports(args.p_max))):
                 differ = 0
                 for name, argv in asked:
