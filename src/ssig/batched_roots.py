@@ -1,8 +1,9 @@
 """Batched numpy root finder over F_p^2, behind ``kernels.fp2_poly_roots``.
 
-Every row is made monic, and the roots its caller already knows are
-divided out of it, each once, by one batched synthetic division per
-slot; a division that leaves a remainder raises ``InexactDeflation``.
+The rows of a batch are monic, all of one degree, and the roots their
+caller already knows are divided out of them, each once, by one batched
+synthetic division per slot; a division that leaves a remainder raises
+``InexactDeflation``.
 ``build_graph`` passes the neighbours found in earlier BFS layers, which
 are roots because Phi_ell is symmetric.  What is left, the residual, is
 solved by its degree:
@@ -16,10 +17,10 @@ solved by its degree:
   degree <= 2, and its quadratic factors join the quadratic formula.  Its
   powmods run mod the undeflated polynomial f, whose exponents every row
   shares, so one chain of y = (Y + r)^((p - 1)/2) serves all such rows
-  of one degree of f and K shifts r at once.  From r = 0 comes Y^p, hence
-  the Frobenius map x -> x^p mod f, a matrix per row, and from each r a
-  first-round splitting element y^(p + 1) - 1; a later round has one
-  shift and one chain.  Gcds and quotients run per row in Python ints.
+  and K shifts r at once.  From r = 0 comes Y^p, hence the Frobenius
+  map x -> x^p mod f, a matrix per row, and from each r a first-round
+  splitting element y^(p + 1) - 1; a later round has one shift and one
+  chain.  Gcds and quotients run per row in Python ints.
 
 Multiplicities come from one batched synthetic division pass over the
 undeflated polynomials, for known and new roots alike.
@@ -33,9 +34,8 @@ p < 2^31.
 
 import numpy as np
 
-from .arith import DomainError
 from .brandt import TheoremViolation
-from .kernels import MAXD, _lcg, fp2_mul
+from .kernels import _lcg, fp2_mul
 
 
 class InexactDeflation(TheoremViolation):
@@ -252,96 +252,72 @@ def _shifts(seed, p):
         yield r0 % p, state % p
 
 
-def _split_residuals(f, deg, h, rows, p, c, seed):
-    """Cantor-Zassenhaus on the residuals h[rows], all of degree >= 3, until
-    every factor of their rational parts has degree <= 2: returns
-    (owner, root) arrays of the linear factors' roots and (owner, g) of
-    the quadratic factors g, which are left to the quadratic formula.
+def _split_residuals(f, h, p, c, seed):
+    """Cantor-Zassenhaus on the residuals h, all of degree >= 3, of the
+    monic rows f, until every factor of their rational parts has degree
+    <= 2: returns (owner, root) arrays of the linear factors' roots and
+    (owner, g) of the quadratic factors g, which are left to the quadratic
+    formula; owner indexes the rows.
 
-    Every powmod runs mod the row's undeflated f, one group per degree of
-    f, so one serves all the factors g of a row: (Y + r)^((p^2 - 1)/2)
-    mod g is the remainder mod g of that mod f.  The chain of
-    ``_modulus_tables`` gives the first K = 4 splitting elements, from
-    r = 0 and three random shifts; each later one takes its own powmod.
+    Every powmod runs mod the row's undeflated f, so one serves all the
+    factors g of a row: (Y + r)^((p^2 - 1)/2) mod g is the remainder mod
+    g of that mod f.  The chain of ``_modulus_tables`` gives the first
+    K = 4 splitting elements, from r = 0 and three random shifts; each
+    later one takes its own powmod.
     """
     first = [r for r, _ in zip(_shifts(seed, p), range(4))]
-    factors = {}  # row -> factors of its rational part
-    groups = []  # (rows, tables, the first K splitting elements) per degree of f
-    for d in sorted(set(deg[rows].tolist())):
-        group = rows[deg[rows] == d]
-        low, high, frob, y = _modulus_tables(f[group, :d + 1], first, p, c)
-        ws = _splitting_elements(y, np.tile(frob, (len(first), 1, 1, 1)), high, p, c)
-        groups.append((group, low, high, frob, ws.reshape(len(first), -1, d, 2)))
-        # separable rational part of each residual: gcd(Y^(p^2) - Y, h)
-        w = _frobenius(frob[:, 1], frob, p, c)
-        w[:, 1, 0] -= 1
-        w %= p
-        for i, wi, hi in zip(group.tolist(), w.tolist(), h[group].tolist()):
-            factors[i] = [_row_gcd(_row(wi), _row(hi), p, c)]
+    low, high, frob, y = _modulus_tables(f, first, p, c)
+    ws = _splitting_elements(y, np.tile(frob, (len(first), 1, 1, 1)), high, p, c)
+    ws = ws.reshape(len(first), len(f), -1, 2)
+    # separable rational part of each residual: gcd(Y^(p^2) - Y, h)
+    w = _frobenius(frob[:, 1], frob, p, c)
+    w[:, 1, 0] -= 1
+    w %= p
+    factors = [[_row_gcd(_row(wi), _row(hi), p, c)]  # of each rational part
+               for wi, hi in zip(w.tolist(), h.tolist())]
 
     # equal-degree splitting, one shift per round shared by the batch: the
     # first K rounds take their elements from the chain
-    roots = {i: [] for i in factors}
-    quadratics = {i: [] for i in factors}
+    roots, quadratics = [], []  # (row, root) and (row, quadratic factor)
     for rnd, r in enumerate(_shifts(seed, p)):
-        for i, gs in factors.items():
-            roots[i] += [(-g[0][0] % p, -g[0][1] % p) for g in gs if len(g) == 2]
-            quadratics[i] += [g for g in gs if len(g) == 3]
+        for i, gs in enumerate(factors):
+            roots += [(i, (-g[0][0] % p, -g[0][1] % p)) for g in gs if len(g) == 2]
+            quadratics += [(i, g) for g in gs if len(g) == 3]
             factors[i] = [g for g in gs if len(g) > 3]
-        if not any(factors.values()):
+        live = [i for i, gs in enumerate(factors) if gs]
+        if not live:
             break
-        for group, low, high, frob, ws in groups:
-            live = [k for k, i in enumerate(group.tolist()) if factors[i]]
-            if not live:
-                continue
-            if rnd < len(first):
-                w = ws[rnd, live]
-            else:
-                y = _powmod_shift(low[live], high[live], r, (p - 1) // 2, p, c)
-                w = _splitting_elements(y, frob[live], high[live], p, c)
-            for i, wi in zip(group[live].tolist(), map(_row, w.tolist())):
-                split = []
-                for g in factors[i]:
-                    part = _row_gcd(_row_divmod(wi, g, p, c)[1], g, p, c)
-                    proper = 1 < len(part) < len(g)
-                    split += [part, _row_divmod(g, part, p, c)[0]] if proper else [g]
-                factors[i] = split
+        if rnd < len(first):
+            w = ws[rnd, live]
+        else:
+            y = _powmod_shift(low[live], high[live], r, (p - 1) // 2, p, c)
+            w = _splitting_elements(y, frob[live], high[live], p, c)
+        for i, wi in zip(live, map(_row, w.tolist())):
+            split = []
+            for g in factors[i]:
+                part = _row_gcd(_row_divmod(wi, g, p, c)[1], g, p, c)
+                proper = 1 < len(part) < len(g)
+                split += [part, _row_divmod(g, part, p, c)[0]] if proper else [g]
+            factors[i] = split
 
-    def flat(parts, shape):
-        owner = np.array([i for i, xs in parts.items() for _ in xs], np.int64)
-        return owner, np.array([x for xs in parts.values() for x in xs],
-                               np.int64).reshape((-1,) + shape)
+    def flat(pairs, shape):
+        return (np.array([i for i, _ in pairs], np.int64),
+                np.array([x for _, x in pairs], np.int64).reshape((-1,) + shape))
 
     return flat(roots, (2,)), flat(quadratics, (3, 2))
 
 
-def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
-    """``kernels.fp2_poly_roots``: known roots deflated, residuals of
-    degree <= 2 solved in closed form and the rest by Cantor-Zassenhaus,
-    with one numpy powmod chain per round and degree of f."""
-    n, width = coeffs.shape[:2]
-    f = coeffs % p
-    f[np.arange(width) > degs[:, None]] = 0
-    nonzero = f.any(axis=2)
-    deg = np.where(nonzero.any(axis=1),
-                   width - 1 - np.argmax(nonzero[:, ::-1], axis=1), -1)
-    if (deg < 0).any():
-        raise DomainError(f"row {np.argmax(deg < 0)} is the zero polynomial; "
-                          "its roots are undefined")
-    f = f[:, :max(deg.max(initial=0), 1) + 1]
-    lead = f[np.arange(n), deg]
-    if (lead != (1, 0)).any():
-        # times the inverse of the leading coefficient, conj(a) / N(a)
-        inv = _fp_pow((lead[:, 0] ** 2 - c * (lead[:, 1] ** 2 % p)) % p, p - 2, p)
-        lead = np.stack([lead[:, 0] * inv % p, -lead[:, 1] * inv % p], axis=1)
-        f = fp2_mul(f, lead[:, None], p, c)
+def find_roots(f, p, c, seed, known, known_counts):
+    """``kernels.fp2_poly_roots`` on reduced rows f: known roots deflated,
+    residuals of degree <= 2 solved in closed form and the rest by
+    Cantor-Zassenhaus, with one numpy powmod chain per round."""
+    deg = f.shape[1] - 1
 
     # deflation: divide each known root out once
-    nk = np.zeros(n, np.int64) if known is None else known_counts
     owners, found = [], []
     h = f.copy()
-    for k in range(nk.max(initial=0)):
-        rows = np.flatnonzero(nk > k)
+    for k in range(known_counts.max(initial=0)):
+        rows = np.flatnonzero(known_counts > k)
         r = known[rows, k] % p
         h[rows], rem = _divide_linear(h[rows], r, p, c)
         bad = np.flatnonzero(rem.any(axis=1))
@@ -353,7 +329,7 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
         found.append(r)
 
     # the residual, by its degree
-    e = deg - nk
+    e = deg - known_counts
     linear = np.flatnonzero(e == 1)
     owners.append(linear)
     found.append(-h[linear, 0] % p)
@@ -361,10 +337,10 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     quad_owners, quads = [quadratic], [h[quadratic, :3].reshape(-1, 3, 2)]
     higher = np.flatnonzero(e >= 3)
     if len(higher):
-        (rows, r), (quad_rows, g) = _split_residuals(f, deg, h, higher, p, c, seed)
-        owners.append(rows)
+        (rows, r), (quad_rows, g) = _split_residuals(f[higher], h[higher], p, c, seed)
+        owners.append(higher[rows])
         found.append(r)
-        quad_owners.append(quad_rows)
+        quad_owners.append(higher[quad_rows])
         quads.append(g)
     quadratic = np.concatenate(quad_owners)
     if len(quadratic):
@@ -375,7 +351,7 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     # distinct roots, by row: a new root may repeat a known one, and a
     # double root of a quadratic appears twice
     owner, root = np.concatenate(owners), np.concatenate(found)
-    order = np.lexsort((root[:, 0] * p + root[:, 1], owner))
+    order = np.lexsort((root[:, 1] * p + root[:, 0], owner))
     owner, root = owner[order], root[order]
     keep = np.ones(len(owner), bool)
     keep[1:] = (owner[1:] != owner[:-1]) | (root[1:] != root[:-1]).any(axis=1)
@@ -386,7 +362,7 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
     h = f[owner]
     mult = np.zeros(len(owner), np.int64)
     live = np.arange(len(owner))
-    for _ in range(f.shape[1] - 1):
+    for _ in range(deg):
         quot, rem = _divide_linear(h[live], root[live], p, c)
         exact = ~rem.any(axis=1)
         live = live[exact]
@@ -394,11 +370,4 @@ def find_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
             break
         h[live] = quot[exact]
         mult[live] += 1
-
-    out_roots = np.zeros((n, MAXD, 2), np.int64)
-    out_mults = np.zeros((n, MAXD), np.int64)
-    counts = np.bincount(owner, minlength=n).astype(np.int64)
-    slot = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
-    out_roots[owner, slot] = root
-    out_mults[owner, slot] = mult
-    return out_roots, out_mults, counts
+    return owner, root, mult

@@ -1,13 +1,13 @@
-"""Hot integer kernels: the batched F_p^2 root finder and the seed scan.
+"""The F_p^2 multiply, the batched root finder and the seed scan.
 
-``fp2_poly_roots`` finds the roots of a whole batch of polynomials, and
-``build_graph`` calls it once per BFS layer, passing for every vertex
-the neighbours found in earlier layers as known roots.  The work is done
-by the vectorized numpy root finder of ``batched_roots``: it divides the
-known roots out and solves a residual of degree <= 2 in closed form, so
-that only residuals of degree >= 3 need Cantor-Zassenhaus.  The seed
-scan counts the points of each candidate curve by a numpy sum of the
-quadratic character.
+``fp2_poly_roots`` finds the roots of a batch of monic polynomials of one
+degree.  ``build_graph`` calls it on Phi_ell(j, Y) at up to
+``ssgraph.ROOT_BATCH_ROWS`` vertices of a BFS layer, with their
+neighbours in earlier layers as known roots.  The numpy root finder of
+``batched_roots`` divides those out and solves a residual of degree <= 2
+in closed form, so only residuals of degree >= 3 need Cantor-Zassenhaus.
+The seed scan counts the points of each candidate curve by a numpy sum
+of the quadratic character.
 
 F_p^2 is F_p[t]/(t^2 - c); an element is the int64 pair (c0, c1) meaning
 c0 + c1*t, and ``fp2_mul`` is the one multiply on it, on whole arrays.
@@ -18,9 +18,6 @@ All moduli fit in 31 bits so every intermediate product stays below 2^63.
 import numpy as np
 
 from .arith import DomainError
-
-MAXD = 8  # largest polynomial degree handled (ell + 1 with ell <= 7)
-
 
 def _lcg(state):
     # MINSTD; products stay below 2^48 so int64 suffices
@@ -40,38 +37,35 @@ def fp2_mul(a, b, p, c):
     return out
 
 
-def fp2_poly_roots(coeffs, degs, p, c, seed, known=None, known_counts=None):
-    """Roots in F_p^2 of a batch of nonzero polynomials, with multiplicities.
+def fp2_poly_roots(coeffs, p, c, seed, known, known_counts):
+    """Roots in F_p^2 of a batch of monic polynomials of one degree, with
+    multiplicities.
 
-    ``coeffs`` has shape (N, MAXD + 1, 2), row i holding a polynomial of
-    degree ``degs[i]`` lowest degree first; coefficients above the degree
-    are ignored.  Returns (roots, mults, counts): for i < N and k <
-    counts[i], roots[i, k] is the (c0, c1) pair of a distinct root of row
-    i and mults[i, k] its multiplicity; both are zero in every slot k >=
-    counts[i].  Rows of degree 0 have no roots; a zero row, or a wider
-    array, is a ``DomainError``.  ``seed`` picks the random shifts of the
-    splitting rounds; no output depends on it, and ``build_graph`` passes 0.
-
-    ``known``, of shape (N, K, 2), with ``known_counts`` of shape (N,),
-    optionally gives distinct roots the caller already knows:
-    known[i, :known_counts[i]] for row i.  Each must be a root, or
+    ``coeffs`` has shape (N, d + 1, 2), d >= 1, each row monic, lowest
+    degree first; another shape, or a row that is not monic (the zero row
+    is not), is a ``DomainError``.  known[i, :known_counts[i]], from
+    ``known`` of shape (N, K, 2), are distinct roots of row i the caller
+    already knows.  Each must be a root, or
     ``batched_roots.InexactDeflation``, a ``TheoremViolation`` naming the
-    row, is raised; they count among the roots returned, with
-    multiplicities taken on the row as given.
+    row, is raised.  Returns flat (owner, roots, mults): roots[k] is the
+    (c0, c1) pair of a root of row owner[k] and mults[k] its multiplicity,
+    each distinct root once, sorted by owner and then by root in (c1, c0)
+    order.  ``seed`` picks the random shifts of the splitting rounds; no
+    output depends on it, and ``build_graph`` passes 0.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.int64)
-    degs = np.asarray(degs, dtype=np.int64)
-    if coeffs.ndim != 3 or coeffs.shape[1:] != (MAXD + 1, 2):
-        raise DomainError(f"coefficients must have shape (N, {MAXD + 1}, 2), "
-                          f"degree at most {MAXD}; got {coeffs.shape}")
-    if known is not None:
-        known = np.asarray(known, dtype=np.int64)
-        known_counts = np.asarray(known_counts, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=np.int64) % p
+    if coeffs.ndim != 3 or coeffs.shape[1] < 2 or coeffs.shape[2] != 2:
+        raise DomainError("coefficients must have shape (N, d + 1, 2), d >= 1; "
+                          f"got {coeffs.shape}")
+    bad = np.flatnonzero((coeffs[:, -1] != (1, 0)).any(axis=1))
+    if len(bad):
+        raise DomainError(f"row {bad[0]} is not monic")
     # imported on first use: with no bytecode cache its source compile
     # costs a few ms, which commands that build no graph should not pay
     from . import batched_roots
 
-    return batched_roots.find_roots(coeffs, degs, p, c, seed, known, known_counts)
+    return batched_roots.find_roots(coeffs, p, c, seed, np.asarray(known, dtype=np.int64),
+                                    np.asarray(known_counts, dtype=np.int64))
 
 
 def _chi_table(p):

@@ -25,9 +25,14 @@ SUPPORTED_ELLS = (2, 3, 5, 7)
 
 # Largest vertex count of a graph; larger p is refused before anything is
 # allocated.  The graph is only its n x (ell+1) table, so the limit bounds
-# the build: at p = 98269 (n = 8189), ell = 7 takes 8.6 s of CPU and peaks
-# at 187 MB RSS, mostly the root finder's batch for the largest BFS layer.
+# the build: at p = 98269 (n = 8189), ``ssig verify`` at ell = 7 takes about
+# 7 s of CPU and peaks at 67 MB RSS, with ROOT_BATCH_ROWS bounding the root
+# finder's share.
 GRAPH_VERTEX_LIMIT = 8192
+
+# Most rows of a BFS layer handed to one root-finder call; a larger layer
+# goes in chunks, so the root finder's working set stays bounded as p grows.
+ROOT_BATCH_ROWS = 1024
 
 
 def validate_modpoly_table(ell):
@@ -176,20 +181,17 @@ def parse_j_labels(texts, p):
 
 
 def _specialize(p, c, table, keys):
-    """Phi_ell(j, Y) for every j-key in ``keys``, as the (N, MAXD + 1, 2)
-    coefficient array of ``kernels.fp2_poly_roots``: the powers j^0 ..
-    j^(ell+1) of the whole batch, one ``kernels.fp2_mul`` per power, times
-    the coefficient matrix, reduced term by term."""
+    """Phi_ell(j, Y) for every j-key in ``keys``, as the (N, ell + 2, 2)
+    array of monic rows that ``kernels.fp2_poly_roots`` takes: the powers
+    j^0 .. j^(ell+1) of the whole batch, one ``kernels.fp2_mul`` per
+    power, times the coefficient matrix, reduced term by term."""
     keys = np.asarray(keys, dtype=np.int64)
     j = np.stack((keys % p, keys // p), axis=-1)
     jpow = np.zeros((len(j), len(table), 2), dtype=np.int64)
     jpow[:, 0, 0] = 1
     for k in range(1, len(table)):
         jpow[:, k] = kernels.fp2_mul(jpow[:, k - 1], j, p, c)
-    coeffs = np.zeros((len(j), kernels.MAXD + 1, 2), dtype=np.int64)
-    coeffs[:, :len(table)] = (
-        jpow[:, :, None, :] * table[None, :, :, None] % p).sum(axis=1) % p
-    return coeffs
+    return (jpow[:, :, None, :] * table[None, :, :, None] % p).sum(axis=1) % p
 
 
 def _neighbour_keys(p, c, table, keys, known):
@@ -211,8 +213,8 @@ def _neighbour_keys(p, c, table, keys, known):
     from .batched_roots import InexactDeflation
 
     try:
-        roots, mults, _ = kernels.fp2_poly_roots(
-            _specialize(p, c, table, keys), np.full(len(keys), ell + 1), p, c, 0,
+        owner, roots, mults = kernels.fp2_poly_roots(
+            _specialize(p, c, table, keys), p, c, 0,
             np.stack((known_keys % p, known_keys // p), axis=2), known_counts)
     except InexactDeflation as err:
         root, j, remainder = j_labels(
@@ -222,24 +224,25 @@ def _neighbour_keys(p, c, table, keys, known):
             f"known neighbour {root} of j={j} (p={p}, ell={ell}) leaves the "
             f"remainder {remainder} in Phi_{ell}(j, Y); "
             "contradicts the symmetry of Phi_ell") from err
-    bad = np.flatnonzero(mults.sum(axis=1) != ell + 1)
+    bad = np.flatnonzero(np.bincount(np.repeat(owner, mults), minlength=len(keys))
+                         != ell + 1)
     if len(bad):
         raise TheoremViolation(
             f"out-degree is not {ell + 1} at j={j_labels(keys[bad], p)[0]} "
             f"(p={p}, ell={ell}); contradicts the (ell+1)-regularity of "
             "Lambda_p(ell)")
-    root_keys = roots[..., 1] * p + roots[..., 0]
-    return np.repeat(root_keys.ravel(), mults.ravel()).reshape(len(keys), ell + 1)
+    # the roots come sorted by owner, so row i is the i-th run of ell + 1
+    return np.repeat(roots[:, 1] * p + roots[:, 0], mults).reshape(len(keys), ell + 1)
 
 
 def build_graph(p, ell):
     """Construct Lambda_p(ell) by BFS and verify all structural theorems.
 
     The BFS runs on j-keys (see the module docstring), one layer at a
-    time: the neighbours of every vertex of the frontier come from a
-    single batched root-finder call.  Phi_ell is symmetric, so every
-    vertex of the previous layer adjacent to a frontier vertex j' is a
-    known root of Phi_ell(j', Y).  The root finder divides those out,
+    time: the neighbours of the vertices of the frontier come from one
+    batched root-finder call per ``ROOT_BATCH_ROWS`` of them.  Phi_ell is
+    symmetric, so every vertex of the previous layer adjacent to a
+    frontier vertex j' is a known root of Phi_ell(j', Y).  The root finder divides those out,
     raising ``TheoremViolation`` if one leaves a remainder, and solves
     what is left, in closed form when its degree is at most 2.
     Multiplicities are taken on the undeflated Phi_ell(j', Y), so the
@@ -254,8 +257,11 @@ def build_graph(p, ell):
     # frontier j-key -> its distinct neighbours in the previous layer
     layer = {find_supersingular_seed(p): ()}
     while layer:
-        frontier = list(layer)
-        found = _neighbour_keys(p, c, table, frontier, list(layer.values()))
+        frontier, known = list(layer), list(layer.values())
+        found = np.concatenate([
+            _neighbour_keys(p, c, table, frontier[s:s + ROOT_BATCH_ROWS],
+                            known[s:s + ROOT_BATCH_ROWS])
+            for s in range(0, len(frontier), ROOT_BATCH_ROWS)])
         rows.update(zip(frontier, found))
         layer = {}
         for u, row in zip(frontier, found.tolist()):

@@ -2,16 +2,20 @@
 
 Flat int64 loop code in the ``kernels`` layout: F_p^2 is F_p[t]/(t^2 - c),
 an element the pair (c0, c1), a polynomial an array of shape
-(MAXD + 1, 2), lowest degree first.  It finds the roots of one
-polynomial by Y^(p^2) - Y gcds and Cantor-Zassenhaus splitting, and their
-multiplicities by repeated exact division, independently of the batched
-numpy root finder it is compared with.
+(MAXD + 1, 2), lowest degree first.  MAXD = 8 is the oracle's own bound,
+which Phi_ell(j, Y) meets for ell <= 7; the batched root finder has
+none.  It finds the roots of one polynomial by Y^(p^2) - Y gcds and
+Cantor-Zassenhaus splitting, and their multiplicities by repeated exact
+division, independently of the batched numpy root finder it is compared
+with.
 """
 
 import numpy as np
 
 from ssig._modpoly_data import MODULAR_POLYNOMIALS
-from ssig.kernels import MAXD, _lcg
+from ssig.kernels import _lcg
+
+MAXD = 8  # largest polynomial degree the oracle handles
 
 
 def pow_mod(a, e, p):
@@ -334,6 +338,13 @@ def horner(coeffs, x0, x1, p, c):
         a0, a1 = _f2mul(a0, a1, x0, x1, p, c)
         a0, a1 = (a0 + k0) % p, (a1 + k1) % p
     return a0, a1
+
+
+def monic(coeffs, p, c):
+    """(c0, c1) coefficients, lowest degree first, times the inverse of the
+    last: the monic polynomial with the same roots and multiplicities."""
+    inv = _f2inv(*(int(x) for x in coeffs[-1]), p, c)
+    return [_f2mul(*inv, int(x0), int(x1), p, c) for x0, x1 in coeffs]
 
 
 def scalar_specialize(p, c, j, ell):

@@ -32,7 +32,7 @@ from ssig import kernels
 from ssig.arith import nonresidue
 from ssig.ssgraph import SUPPORTED_ELLS, validate_modpoly_table
 from _residue_lists import NO_COMMON_23_RESIDUES, SIMPLE3_RESIDUES
-from _scalar_roots import horner
+from _scalar_roots import horner, monic
 
 
 def report(num, text):
@@ -199,9 +199,9 @@ def test_criterion_09_modpoly_and_root_finder():
             deg = rng.randint(1, 8)
             coeffs = [(rng.randrange(p), rng.randrange(p)) for _ in range(deg)]
             coeffs.append((1 + rng.randrange(p - 1), rng.randrange(p)))
-            batch = [coeffs + [(0, 0)] * (kernels.MAXD - deg)]
-            roots, _, counts = kernels.fp2_poly_roots(batch, [deg], p, c, trial)
-            found = {tuple(r) for r in roots[0, :counts[0]].tolist()}
+            _, roots, _ = kernels.fp2_poly_roots([monic(coeffs, p, c)], p, c, trial,
+                                                 np.zeros((1, 0, 2), np.int64), [0])
+            found = {tuple(r) for r in roots.tolist()}
             scan = {
                 (c0, c1)
                 for c0 in range(p)

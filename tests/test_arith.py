@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from ssig import kernels
 from ssig.arith import DomainError, factor, is_prime, kronecker, nonresidue
 
-from _scalar_roots import _f2mul, _f2pow, horner
+from _scalar_roots import _f2mul, _f2pow, horner, monic
 
 
 def trial_division(n):
@@ -159,12 +159,11 @@ def all_field_elements(p):
 def roots_of(coeffs, p, c, seed):
     """Root-multiplicity map of one polynomial, given by its (c0, c1)
     coefficients lowest degree first, from kernels.fp2_poly_roots on a
-    batch of one."""
-    arr = np.zeros((1, kernels.MAXD + 1, 2), np.int64)
-    arr[0, :len(coeffs)] = coeffs
-    roots, mults, counts = kernels.fp2_poly_roots(arr, [len(coeffs) - 1], p, c, seed)
-    return {tuple(r): m
-            for r, m in zip(roots[0, :counts[0]].tolist(), mults[0, :counts[0]].tolist())}
+    batch of one: the polynomial made monic, with no known roots."""
+    owner, roots, mults = kernels.fp2_poly_roots(
+        [monic(coeffs, p, c)], p, c, seed, np.zeros((1, 0, 2), np.int64), [0])
+    assert not owner.any()
+    return {tuple(r): m for r, m in zip(roots.tolist(), mults.tolist())}
 
 
 def exhaustive_roots(coeffs, p, c):
@@ -214,10 +213,14 @@ class TestRootFinding:
         for seed in (1, 2, 12345):
             assert roots_of(coeffs, 37, c, seed=seed) == base
 
-    def test_degree_limits(self):
+    def test_degree_9_product_of_linear_factors_matches_exhaustive_scan(self):
+        # one degree past the scalar oracle's MAXD = 8; the root finder has
+        # no degree bound
         c = nonresidue(13)
-        with pytest.raises(DomainError, match="zero polynomial"):
-            roots_of([(0, 0)], 13, c, seed=0)
-        too_big = np.ones((1, kernels.MAXD + 2, 2), np.int64)
-        with pytest.raises(DomainError, match="degree at most 8"):
-            kernels.fp2_poly_roots(too_big, [kernels.MAXD + 1], 13, c, 0)
+        picked = [(1, 0), (1, 0), (2, 3), (5, 7), (5, 7), (5, 7), (0, 1), (12, 12), (4, 9)]
+        coeffs = [(1, 0)]
+        for r in picked:
+            coeffs = times_linear(coeffs, r, 13, c)
+        found = roots_of(coeffs, 13, c, seed=0)
+        assert found == {(1, 0): 2, (2, 3): 1, (5, 7): 3, (0, 1): 1, (12, 12): 1, (4, 9): 1}
+        assert set(found) == exhaustive_roots(coeffs, 13, c)

@@ -368,6 +368,127 @@ class TestBirouteExitContract:
             assert bound.startswith("  upper bound") and value <= int(bound.split()[-1])
 
 
+PRIMES_BELOW_400 = [p for p in range(13, 400, 12) if is_prime(p)]
+P = st.sampled_from(PRIMES_BELOW_400) | st.integers(-30, 399)
+ELL = st.sampled_from(SUPPORTED_ELLS * 3 + (0, 1, 4, 11))
+PROPERTY = st.sampled_from(["no-loops", "no-multi-edges", "simple", "no-common-edges",
+                            "loops"])
+CACHE, OUT = "<cache>", "<out>"  # stand-ins for the paths of the test
+
+
+def _argv(*parts):
+    return st.tuples(*parts).map(lambda ps: [arg for part in ps for arg in part])
+
+
+def _req(flag, values):
+    return values.map(lambda v: [flag, str(v)])
+
+
+def _opt(flag, values):
+    return st.just([]) | _req(flag, values)
+
+
+def _flag(flag):
+    return st.sampled_from([[], [flag]])
+
+
+_CACHED = st.just(["--cache-dir", CACHE])
+# every command, its costs bounded: p < 400, --cap <= 2000, sweep --max <= 200
+COMMANDS = st.one_of(
+    _argv(st.just(["graph"]), _req("--p", P), _req("--ell", ELL), _opt("--ell2", ELL),
+          _opt("--format", st.sampled_from(["json", "dot", "xml"])),
+          _opt("--out", st.just(OUT)), _CACHED),
+    _argv(st.just(["stats"]), _req("--p", P), _req("--ell", ELL), _flag("--json"), _CACHED),
+    _argv(st.just(["trace"]), _req("--p", P), _req("--m", st.integers(-5, 3000))),
+    _argv(st.just(["hurwitz"]), _req("--d", st.integers(-5, 10**5) | st.just(10**12)),
+          _opt("--p", P)),
+    _argv(st.just(["congruence"]), _req("--property", PROPERTY), _req("--ell", ELL),
+          _opt("--ell2", ELL), _flag("--undirected")),
+    _argv(st.just(["find-prime"]), _req("--property", PROPERTY), _req("--ell", ELL),
+          _opt("--ell", ELL), _opt("--ell2", ELL), _flag("--undirected"),
+          _opt("--start", st.integers(-10, 500)), _req("--cap", st.integers(-10, 2000))),
+    _argv(st.just(["biroute"]), _req("--p", P), _req("--ell1", ELL), _req("--ell2", ELL),
+          _req("--r", st.integers(-1, 4)),
+          _opt("--method", st.sampled_from(["definitional", "telescoped", "hurwitz"])),
+          _CACHED),
+    _argv(st.just(["intersect"]), _req("--p", P), _req("--ell1", ELL), _req("--ell2", ELL),
+          _CACHED),
+    _argv(st.just(["verify"]), _req("--p", P), _req("--ell", ELL), _CACHED),
+    _argv(st.just(["sweep"]), _req("--max", st.integers(-10, 200)), _opt("--ell", ELL),
+          _opt("--ell", ELL), _opt("--out", st.just(OUT)), _CACHED),
+)
+NOISE = st.sampled_from(["--p", "x", "--bogus", "-1", "", "--help", "1e3"])
+
+
+@st.composite
+def argvs(draw):
+    """An argument vector of one of the ten commands, in two of five with
+    one or two stray tokens inserted anywhere."""
+    argv = draw(COMMANDS)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(NOISE))
+    return argv
+
+
+def run_timed(argv):
+    """(exit code, stdout, stderr, wall seconds) of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), time.perf_counter() - start
+
+
+class TestExitContract:
+    """Every input ends in exit 0 or 2 within bounded time, with no
+    exception escaping ``main``; exit 3 is for theorem violations, which no
+    input here can plant."""
+
+    # derandomized, so tier-1 runs the same examples, at the same cost, each time
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(argv=argvs())
+    def test_every_command_exits_0_or_2_in_bounded_time(self, shared_cache, argv):
+        out_path = os.path.join(shared_cache, "out")
+        argv = [{CACHE: shared_cache, OUT: out_path}.get(arg, arg) for arg in argv]
+        rc, _, err, seconds = run_timed(argv)
+        assert rc in (0, 2), (argv, err)
+        assert seconds < 10, argv
+
+    @pytest.fixture(scope="class")
+    def stats_entry(self, tmp_path_factory):
+        """(cache dir, path and bytes of its entry for (109, 3), and the
+        output of ``stats --json`` from a fresh build)."""
+        cache = str(tmp_path_factory.mktemp("mutated"))
+        rc, fresh, _, _ = run_timed(["stats", "--p", "109", "--ell", "3", "--json",
+                                     "--cache-dir", cache])
+        assert rc == 0
+        path = Path(GraphCache(cache)._path(109, 3))
+        return cache, path, path.read_bytes(), fresh
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(edits=st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                                    st.integers(0, 2**16), st.integers(0, 255)),
+                          min_size=1, max_size=3))
+    def test_stats_on_a_mutated_cache_entry_gives_a_fresh_builds_output(self, stats_entry,
+                                                                        edits):
+        cache, path, good, fresh = stats_entry
+        data = bytearray(good)
+        for op, pos, byte in edits:
+            pos %= len(data) + (op == "insert")
+            if op == "replace":
+                data[pos] = byte
+            elif op == "insert":
+                data.insert(pos, byte)
+            else:
+                del data[pos]
+        path.write_bytes(bytes(data))
+        rc, out, err, seconds = run_timed(["stats", "--p", "109", "--ell", "3", "--json",
+                                           "--cache-dir", cache])
+        assert rc in (0, 2), err
+        assert rc == 2 or out == fresh
+        assert seconds < 10
+
+
 MOVED_TO_ORACLES = ("class_number", "unit_factor", "is_fundamental", "_squarefree",
                     "_check_discriminant", "sigma_coprime", "curve_trace_sum",
                     "neighbors")

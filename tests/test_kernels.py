@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ssig import batched_roots, kernels
-from ssig.arith import nonresidue
+from ssig.arith import DomainError, nonresidue
 from ssig.brandt import TheoremViolation
 
-from _scalar_roots import _f2mul, _pdiv_linear, horner
+from _scalar_roots import MAXD, _f2mul, _pdiv_linear, horner, monic
 from _scalar_roots import _fp2_poly_roots_one as scalar_roots
 
 
@@ -26,10 +26,10 @@ def random_batch(p, rng, rows):
     """Polynomials of every degree 1 to 8 in turn: a random monic cofactor
     times random linear factors, some repeated, times a unit."""
     c = nonresidue(p)
-    coeffs = np.zeros((rows, kernels.MAXD + 1, 2), np.int64)
+    coeffs = np.zeros((rows, MAXD + 1, 2), np.int64)
     degs = np.zeros(rows, np.int64)
     for i in range(rows):
-        deg = 1 + i % kernels.MAXD
+        deg = 1 + i % MAXD
         poly = [(rng.randrange(p), rng.randrange(p))
                 for _ in range(rng.randint(0, deg - 1))] + [(1, 0)]
         while len(poly) <= deg:
@@ -42,9 +42,37 @@ def random_batch(p, rng, rows):
     return coeffs, degs
 
 
-def as_maps(roots, mults, counts):
-    return [{tuple(r): m for r, m in zip(rs[:k], ms[:k])}
-            for rs, ms, k in zip(roots.tolist(), mults.tolist(), counts.tolist())]
+def no_known(rows):
+    return np.zeros((rows, 0, 2), np.int64), np.zeros(rows, np.int64)
+
+
+def as_maps(found, rows):
+    """Root-multiplicity maps of the ``rows`` rows of a kernels.fp2_poly_roots
+    output, which lists each distinct root once, sorted by owner and then
+    by root in (c1, c0) order."""
+    owner, roots, mults = (a.tolist() for a in found)
+    order = [(i, r1, r0) for i, (r0, r1) in zip(owner, roots)]
+    assert order == sorted(set(order))
+    maps = [{} for _ in range(rows)]
+    for i, r, m in zip(owner, roots, mults):
+        maps[i][tuple(r)] = m
+    return maps
+
+
+def batched_maps(coeffs, degs, p, seed, known=None, known_counts=None):
+    """The maps of kernels.fp2_poly_roots on every row made monic, one call
+    per degree, with its known roots or none."""
+    c = nonresidue(p)
+    if known is None:
+        known, known_counts = no_known(len(coeffs))
+    maps = [None] * len(coeffs)
+    for deg in sorted(set(degs.tolist())):
+        rows = np.flatnonzero(degs == deg)
+        found = kernels.fp2_poly_roots([monic(coeffs[i, :deg + 1], p, c) for i in rows], p, c,
+                                       seed, known[rows], known_counts[rows])
+        for i, m in zip(rows, as_maps(found, len(rows))):
+            maps[i] = m
+    return maps
 
 
 def scalar_maps(coeffs, degs, p, seed):
@@ -55,18 +83,16 @@ def scalar_maps(coeffs, degs, p, seed):
 
 @pytest.mark.parametrize("p,rows", [(13, 40), (37, 40), (10007, 30), (2**31 - 1, 12)])
 def test_batched_matches_scalar_kernel(p, rows):
-    c = nonresidue(p)
     rng = random.Random(p)
     coeffs, degs = random_batch(p, rng, rows)
-    batched = batched_roots.find_roots(coeffs, degs, p, c, seed=5)
-    assert as_maps(*batched) == scalar_maps(coeffs, degs, p, seed=5)
+    assert batched_maps(coeffs, degs, p, seed=5) == scalar_maps(coeffs, degs, p, seed=5)
 
 
 def test_int64_headroom_roots_checked_by_evaluation():
     p = 2**31 - 1
     c = nonresidue(p)
     coeffs, degs = random_batch(p, random.Random(1), 12)
-    maps = as_maps(*batched_roots.find_roots(coeffs, degs, p, c, seed=0))
+    maps = batched_maps(coeffs, degs, p, seed=0)
     assert sum(len(m) for m in maps) > 12
     for row, deg, found in zip(coeffs, degs, maps):
         for root, mult in found.items():
@@ -79,16 +105,24 @@ def test_int64_headroom_roots_checked_by_evaluation():
             assert horner(quotient[:deg - mult + 1], *root, p, c) != (0, 0)
 
 
-def test_rows_without_roots_and_ignored_high_coefficients():
+def test_a_linear_and_a_quadratic_row():
     c = nonresidue(13)
-    coeffs = np.zeros((3, kernels.MAXD + 1, 2), np.int64)
-    coeffs[0, 0] = (5, 1)            # nonzero constant
-    coeffs[1, :2] = [(1, 0), (1, 0)]   # Y + 1 ...
-    coeffs[1, 5] = (7, 7)            # ... above its stated degree
-    coeffs[2, :3] = [(1, 0), (0, 0), (1, 0)]  # Y^2 + 1 splits in F_13
-    roots, mults, counts = kernels.fp2_poly_roots(coeffs, [0, 1, 2], 13, c, 0)
-    assert as_maps(roots, mults, counts) == [{}, {(12, 0): 1},
-                                             {(5, 0): 1, (8, 0): 1}]
+    linear = [[(1, 0), (1, 0)]]  # Y + 1
+    quadratic = [[(1, 0), (0, 0), (1, 0)]]  # Y^2 + 1 splits in F_13
+    assert as_maps(kernels.fp2_poly_roots(linear, 13, c, 0, *no_known(1)), 1) == [
+        {(12, 0): 1}]
+    assert as_maps(kernels.fp2_poly_roots(quadratic, 13, c, 0, *no_known(1)), 1) == [
+        {(5, 0): 1, (8, 0): 1}]
+
+
+@pytest.mark.parametrize("coeffs,message", [
+    ([[(1, 0), (2, 0)]], "row 0 is not monic"),  # 2Y + 1
+    ([[(1, 0), (1, 0)], [(0, 0), (0, 0)]], "row 1 is not monic"),  # the zero row
+    ([[(1, 0)]], r"shape \(N, d \+ 1, 2\), d >= 1; got \(1, 1, 2\)"),  # degree 0
+])
+def test_rows_that_are_not_monic_of_degree_at_least_1_are_refused(coeffs, message):
+    with pytest.raises(DomainError, match=message):
+        kernels.fp2_poly_roots(coeffs, 13, nonresidue(13), 0, *no_known(len(coeffs)))
 
 
 def all_of_fp2(p):
@@ -137,46 +171,39 @@ def test_fp2_sqrt_on_random_elements(p):
 @pytest.mark.parametrize("p,rows", [(13, 40), (37, 40), (10007, 30), (2**31 - 1, 12)])
 def test_known_roots_deflated_match_scalar_kernel(p, rows):
     # each row told some of its distinct roots, in shuffled order
-    c = nonresidue(p)
     rng = random.Random(p + 1)
     coeffs, degs = random_batch(p, rng, rows)
     expected = scalar_maps(coeffs, degs, p, seed=5)
-    known = np.zeros((rows, kernels.MAXD, 2), np.int64)
+    known = np.zeros((rows, MAXD, 2), np.int64)
     known_counts = np.zeros(rows, np.int64)
     for i, row in enumerate(expected):
         told = rng.sample(sorted(row), rng.randint(0, len(row)))
         known[i, :len(told)] = np.reshape(told, (-1, 2))
         known_counts[i] = len(told)
     assert known_counts.sum() > rows // 2
-    found = kernels.fp2_poly_roots(coeffs, degs, p, c, 5, known, known_counts)
-    assert as_maps(*found) == expected
-    # the slots past each row's count are zero, as _neighbour_keys relies on
-    past = np.arange(kernels.MAXD) >= found[2][:, None]
-    assert not found[0][past].any() and not found[1][past].any()
-    # and each root once: a known root the residual has too is not repeated
-    assert found[2].tolist() == [len(row) for row in expected]
+    # as_maps asserts each root once: a known root the residual has too is
+    # not repeated
+    assert batched_maps(coeffs, degs, p, 5, known, known_counts) == expected
 
 
 def test_known_root_that_leaves_a_remainder_raises():
     c = nonresidue(13)
-    coeffs = np.zeros((2, kernels.MAXD + 1, 2), np.int64)
-    coeffs[0, :3] = [(12, 0), (0, 0), (1, 0)]  # Y^2 - 1
-    coeffs[1, :3] = [(12, 0), (0, 0), (1, 0)]
+    coeffs = [[(12, 0), (0, 0), (1, 0)]] * 2  # Y^2 - 1
     known = np.array([[(1, 0), (12, 0)], [(1, 0), (2, 0)]])
     with pytest.raises(TheoremViolation, match=r"known root \(2, 0\) of row 1"):
-        kernels.fp2_poly_roots(coeffs, [2, 2], 13, c, 0, known, [2, 2])
+        kernels.fp2_poly_roots(coeffs, 13, c, 0, known, [2, 2])
 
 
 def test_quadratics_in_closed_form():
     c = nonresidue(13)
-    coeffs = np.zeros((3, kernels.MAXD + 1, 2), np.int64)
+    coeffs = np.zeros((3, 3, 2), np.int64)
     coeffs[0, :3] = [(4, 0), (4, 0), (1, 0)]  # (Y + 2)^2
     coeffs[1, :3] = [(c, 0), (0, 0), (12, 0)]  # c - Y^2: roots +-t
     # Y^2 - t has no root in F_p^2: t is not a square there, its norm -c
     # not being a square mod 13
     coeffs[2, :3] = [(0, 12), (0, 0), (1, 0)]
     assert pow(-c % 13, 6, 13) == 12
-    assert as_maps(*kernels.fp2_poly_roots(coeffs, [2, 2, 2], 13, c, 0)) == [
+    assert batched_maps(coeffs, np.full(3, 2), 13, 0) == [
         {(11, 0): 2}, {(0, 1): 1, (0, 12): 1}, {}]
 
 
@@ -200,8 +227,8 @@ def test_factors_left_by_the_first_round_split_in_later_rounds(seed, monkeypatch
         return powmod(low, *args)
 
     monkeypatch.setattr(batched_roots, "_powmod_shift", counted)
-    found = kernels.fp2_poly_roots(coeffs, [8], 13, c, seed)
+    found = kernels.fp2_poly_roots(coeffs, p, c, seed, *no_known(1))
     # one chain for the four first-round shifts, then single-shift rounds
     assert chains[0] == 4 and chains[1:] and set(chains[1:]) == {1}
-    assert as_maps(*found) == scalar_maps(coeffs, [8], p, seed) == [
+    assert as_maps(found, 1) == scalar_maps(coeffs, [8], p, seed) == [
         dict.fromkeys(LATER_ROUND_ROOTS, 1)]

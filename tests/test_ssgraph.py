@@ -78,8 +78,10 @@ class TestSpecialize:
         vertices = graphs(p, ell).vertices
         expected = np.array([scalar_specialize(p, c, (j % p, j // p), ell)
                              for j in vertices.tolist()])
+        # the oracle pads to its MAXD; _specialize stops at Y^(ell+1)
+        assert not expected[:, ell + 2:].any()
         assert np.array_equal(_specialize(p, c, _modpoly_matrix(ell, p), vertices),
-                              expected)
+                              expected[:, :ell + 2])
 
 
 class TestNeighbors:
@@ -140,9 +142,9 @@ class TestBuildGraph:
         a = build_graph(109, 2)
         find, seeds = kernels.fp2_poly_roots, []
 
-        def other_seed(coeffs, degs, p, c, seed, *known):
+        def other_seed(coeffs, p, c, seed, *known):
             seeds.append(seed)
-            return find(coeffs, degs, p, c, 99, *known)
+            return find(coeffs, p, c, 99, *known)
 
         monkeypatch.setattr(kernels, "fp2_poly_roots", other_seed)
         b = build_graph(109, 2)
@@ -166,15 +168,15 @@ class TestBuildGraph:
                 known[v, slot] = g.vertices[k] % p, g.vertices[k] // p
         c = nonresidue(p)
         coeffs = _specialize(p, c, _modpoly_matrix(ell, p), g.vertices)
-        degs = np.full(g.n, ell + 1)
-        base = kernels.fp2_poly_roots(coeffs, degs, p, c, 0)
+        none = np.zeros((g.n, 0, 2), np.int64), np.zeros(g.n, np.int64)
+        base = kernels.fp2_poly_roots(coeffs, p, c, 0, *none)
         for seed in (0, 1, 12345, 2**32 - 1):
-            for given in ((), (known, known_counts)):
-                found = kernels.fp2_poly_roots(coeffs, degs, p, c, seed, *given)
+            for given in (none, (known, known_counts)):
+                found = kernels.fp2_poly_roots(coeffs, p, c, seed, *given)
                 assert all(np.array_equal(a, b) for a, b in zip(found, base))
         # and those roots are the graph's table
-        roots, mults, _ = base
-        root_keys = np.repeat((roots[..., 1] * p + roots[..., 0]).ravel(), mults.ravel())
+        _, roots, mults = base
+        root_keys = np.repeat(roots[:, 1] * p + roots[:, 0], mults)
         rows = np.searchsorted(g.vertices, root_keys.reshape(g.n, ell + 1))
         assert np.array_equal(np.sort(rows, axis=1), g.table)
 
@@ -369,9 +371,9 @@ class TestDeflatedRootFinder:
                     for j in (b * 13 + a for a in range(13) for b in range(13))
                     for row in [scalar_neighbors(13, c, j, 2)]
                     if list(row.values()) == [1])
-        roots, mults, counts = kernels.fp2_poly_roots(
-            _specialize(13, c, table, [j]), [3], 13, c, 0, [[(r % 13, r // 13)]], [1])
-        assert (counts[0], tuple(roots[0, 0]), mults[0, 0]) == (1, (r % 13, r // 13), 1)
+        found = kernels.fp2_poly_roots(
+            _specialize(13, c, table, [j]), 13, c, 0, [[(r % 13, r // 13)]], [1])
+        assert [a.tolist() for a in found] == [[0], [[r % 13, r // 13]], [1]]
         with pytest.raises(TheoremViolation,
                            match=re.escape(f"out-degree is not 3 at j={j % 13}+{j // 13}*t")):
             _neighbour_keys(13, c, table, [j], [[r]])
@@ -392,17 +394,36 @@ class TestKnownNeighbourHandOff:
         index = {j: i for i, j in enumerate(g.vertices.tolist())}
         find, calls = kernels.fp2_poly_roots, []
 
-        def record(coeffs, degs, p, c, seed, known, known_counts):
+        def record(coeffs, p, c, seed, known, known_counts):
             calls.append([(vertex_of_row[row.tobytes()],
                            sorted(index[r1 * p + r0] for r0, r1 in ks[:k].tolist()))
                           for row, ks, k in zip(coeffs, known, known_counts)])
-            return find(coeffs, degs, p, c, seed, known, known_counts)
+            return find(coeffs, p, c, seed, known, known_counts)
 
         monkeypatch.setattr(kernels, "fp2_poly_roots", record)
         build_graph(p, ell)
         layers, nearer = bfs_layers(g)
-        assert len(calls) == len(layers)  # one root-finder call per BFS layer
+        # one root-finder call per BFS layer, as each is below ROOT_BATCH_ROWS
+        assert max(map(len, layers)) <= ssgraph.ROOT_BATCH_ROWS
+        assert len(calls) == len(layers)
         for call, layer in zip(calls, layers):
             assert sorted(v for v, _ in call) == sorted(layer)
             for v, given in call:
                 assert given == sorted(nearer[v])
+
+    @pytest.mark.parametrize("p,ell", [(433, 5), (1009, 2)])
+    def test_layers_in_chunks_of_root_batch_rows_build_the_same_graph(
+            self, graphs, monkeypatch, p, ell):
+        default = graphs(p, ell)
+        find, sizes = kernels.fp2_poly_roots, []
+
+        def record(coeffs, *args):
+            sizes.append(len(coeffs))
+            return find(coeffs, *args)
+
+        monkeypatch.setattr(kernels, "fp2_poly_roots", record)
+        monkeypatch.setattr(ssgraph, "ROOT_BATCH_ROWS", 7)
+        g = build_graph(p, ell)
+        assert max(sizes) == 7 and sum(sizes) == g.n
+        assert np.array_equal(g.vertices, default.vertices)
+        assert np.array_equal(g.table, default.table)

@@ -25,3 +25,17 @@ def test_compare_exports_queries_find_no_difference_between_a_tree_and_itself(ca
     assert "16 query outputs compared: 0 differ" in out
     assert "10 intersect outputs for the other ell-pairs compared: 0 differ" in out
     assert "30 biroute outputs for the other ell-pairs compared: 0 differ" in out
+
+
+def test_ab_builds_times_a_tree_against_itself_and_restores_its_modules(capsys):
+    import sys
+
+    import ssig
+
+    tool = load_tool("ab_builds")
+    assert tool.main([str(ROOT), str(ROOT), "--rounds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("round 1: old ") and out[0].endswith("(old first)")
+    assert out[1] == "tree  median_s  min_s  wins"
+    assert [line.split()[0] for line in out[2:]] == ["old", "new"]
+    assert sys.modules["ssig"] is ssig
