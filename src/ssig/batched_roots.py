@@ -34,6 +34,7 @@ p < 2^31.
 
 import numpy as np
 
+from .arith import DomainError
 from .brandt import TheoremViolation
 from .kernels import _lcg, fp2_mul
 
@@ -311,6 +312,11 @@ def find_roots(f, p, c, seed, known, known_counts):
     """``kernels.fp2_poly_roots`` on reduced rows f: known roots deflated,
     residuals of degree <= 2 solved in closed form and the rest by
     Cantor-Zassenhaus, with one numpy powmod chain per round."""
+    if (known.ndim != 3 or known.shape[::2] != (len(f), 2)
+            or known_counts.shape != (len(f),) or (known_counts < 0).any()
+            or (known_counts > known.shape[1]).any()):
+        raise DomainError(f"known roots {known.shape} and counts {known_counts.shape} "
+                          "are not (N, K, 2) and (N,) with counts in [0, K]")
     deg = f.shape[1] - 1
 
     # deflation: divide each known root out once

@@ -1,36 +1,26 @@
-"""Graph export formats (JSON, DOT) and the file-backed graph cache; both
-formats label a vertex by its j-invariant c0+c1*t, ``ssgraph.j_labels``.
-A graph read back is an ``IsogenyGraph``, so it is checked as it is made."""
+"""Graph exports (JSON, DOT), which label a vertex by its j-invariant
+c0+c1*t, ``ssgraph.j_labels``; ``graph_from_dict``, the reader of the JSON
+export only; and ``GraphCache``, which stores the graph's own arrays.  A
+graph read back is an ``IsogenyGraph``, so it is checked as it is made."""
 
-import json
 import os
 import tempfile
 
 import numpy as np
 
 from .arith import DomainError, nonresidue
-from .brandt import TheoremViolation
+from .brandt import TheoremViolation, vertex_count
 from .ssgraph import IsogenyGraph, check_graph_args, j_labels, parse_j_labels
 
 EXPORT_VERSION = 1
 
 
 def graph_to_dict(g, stats=None):
-    rows, cols, mults = g.edges()
-    edges = [
-        {"i": i, "j": k, "m": m}
-        for i, k, m in zip(rows.tolist(), cols.tolist(), mults.tolist())
-    ]
-    doc = {
-        "version": EXPORT_VERSION,
-        "p": g.p,
-        "ell": g.ell,
-        "c": nonresidue(g.p),
-        "vertices": [
-            {"index": i, "j": j} for i, j in enumerate(j_labels(g.vertices, g.p))
-        ],
-        "edges": edges,
-    }
+    doc = {"version": EXPORT_VERSION, "p": g.p, "ell": g.ell, "c": nonresidue(g.p),
+           "vertices": [{"index": i, "j": j}
+                        for i, j in enumerate(j_labels(g.vertices, g.p))],
+           "edges": [{"i": i, "j": k, "m": m}
+                     for i, k, m in zip(*(a.tolist() for a in g.edges()))]}
     if stats is not None:
         doc["stats"] = stats.as_dict()
     return doc
@@ -97,7 +87,9 @@ def to_dot(g, overlay=None):
 
 
 class GraphCache:
-    """One JSON file per (p, ell); stale format versions are ignored."""
+    """One file per (p, ell), graph_p{p}_ell{ell}.i64, holding the graph's
+    own arrays, not its export: the little-endian int64 record p, ell, n,
+    then the n vertex keys, then the n*(ell+1) table entries row by row."""
 
     def __init__(self, directory=None):
         if directory is None:
@@ -105,35 +97,33 @@ class GraphCache:
         self.directory = directory
 
     def _path(self, p, ell):
-        return os.path.join(
-            self.directory, f"graph_p{p}_ell{ell}_v{EXPORT_VERSION}.json"
-        )
+        return os.path.join(self.directory, f"graph_p{p}_ell{ell}.i64")
 
     def load(self, p, ell):
-        """The cached graph for (p, ell), or None if the entry is missing,
-        damaged, stale, holds another key, or is not a Lambda_p(ell); the
-        caller rebuilds it."""
-        path = self._path(p, ell)
-        if not os.path.exists(path):
-            return None
+        """The cached graph for (p, ell), or None, for the caller to rebuild,
+        unless the entry has the size and header of Lambda_p(ell)'s record,
+        of which no more is read, and makes an ``IsogenyGraph``."""
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
-            if doc["p"] != p or doc["ell"] != ell:
+            check_graph_args(p, ell)  # so that the size is Lambda_p(ell)'s
+            n = vertex_count(p)
+            size = 8 * (3 + n * (ell + 2))
+            with open(self._path(p, ell), "rb") as fh:
+                data = fh.read(size + 1)
+            record = np.frombuffer(data, "<i8").astype(np.int64)  # in native byte order
+            if len(data) != size or record[:3].tolist() != [p, ell, n]:
                 return None
-            return graph_from_dict(doc)
-        except (KeyError, ValueError, TypeError, AttributeError, IndexError,
-                OverflowError, RecursionError, TheoremViolation):
+            return IsogenyGraph(p=p, ell=ell, vertices=record[3:3 + n],
+                                table=record[3 + n:].reshape(n, ell + 1))
+        except (OSError, ValueError, TheoremViolation):  # DomainError is a ValueError
             return None
 
     def store(self, g):
         os.makedirs(self.directory, exist_ok=True)
-        doc = graph_to_dict(g)
+        record = np.concatenate(([g.p, g.ell, g.n], g.vertices, g.table.ravel()))
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(doc, fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(record.astype("<i8").tobytes())
             os.replace(tmp, self._path(g.p, g.ell))
         finally:
             if os.path.exists(tmp):

@@ -45,7 +45,8 @@ def fp2_poly_roots(coeffs, p, c, seed, known, known_counts):
     degree first; another shape, or a row that is not monic (the zero row
     is not), is a ``DomainError``.  known[i, :known_counts[i]], from
     ``known`` of shape (N, K, 2), are distinct roots of row i the caller
-    already knows.  Each must be a root, or
+    already knows, 0 <= known_counts[i] <= K (other shapes or counts are
+    a ``DomainError``).  Each must be a root, or
     ``batched_roots.InexactDeflation``, a ``TheoremViolation`` naming the
     row, is raised.  Returns flat (owner, roots, mults): roots[k] is the
     (c0, c1) pair of a root of row owner[k] and mults[k] its multiplicity,

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import dataclasses
 import gc
 import io
@@ -517,10 +518,10 @@ class TestPublicSurface:
 
 
 def _edit(change):
-    def tamper(text, cache):
-        doc = json.loads(text)
+    def tamper(doc, exports):
+        doc = copy.deepcopy(doc)
         change(doc)
-        return json.dumps(doc)
+        return doc
     return tamper
 
 
@@ -532,25 +533,34 @@ def _replace_graph(js, edges):
     return _edit(change)
 
 
-def _other_entry(p, ell):
-    def tamper(text, cache):
-        with open(GraphCache(cache)._path(p, ell)) as fh:
-            return fh.read()
-    return tamper
+def _nested(depth):
+    doc = []
+    for _ in range(depth):
+        doc = [doc]
+    return doc
 
 
-# ways to damage the cache entry of Lambda_37(2): vertices 8+0*t, 3+10*t,
-# 3+27*t and edges (i, j, m) = (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 2)
+# 3-regular, but with three loops where the trace formula gives one
+WRONG_LOOPS = (["8+0*t", "3+10*t", "3+27*t"], [(i, k) for i in range(3) for k in range(i, 3)])
+# 3-regular with one loop, but on five vertices where there are three
+WRONG_COUNT = (["8+0*t", "9+0*t", "10+0*t", "3+10*t", "3+27*t"],
+               [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)])
+
+# ways to damage the export document of Lambda_37(2): vertices 8+0*t, 3+10*t,
+# 3+27*t and edges (i, j, m) = (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 2);
+# ``exports`` holds the documents of (37, 2), (37, 3) and (61, 2)
 TAMPERS = {
-    "truncated": lambda text, cache: text[: len(text) // 2],
-    "list, not a dict": lambda text, cache: f"[{text}]",
-    "nested too deep to parse": lambda text, cache: "[" * 100000 + "]" * 100000,
+    # the first half of each record list
+    "truncated": lambda doc, exports: {k: v[:len(v) // 2] if isinstance(v, list) else v
+                                       for k, v in doc.items()},
+    "list, not a dict": lambda doc, exports: [doc],
+    "nested too deep to parse": lambda doc, exports: _nested(100000),
     "malformed j": _edit(lambda d: d["vertices"][0].update(j="garbage")),
     "j not a string": _edit(lambda d: d["vertices"][0].update(j=5)),
     "edge index past n": _edit(lambda d: d["edges"][0].update(j=3)),
     "multiplicity past int64": _edit(lambda d: d["edges"][0].update(m=10**30)),
-    "entry of another ell": _other_entry(37, 3),
-    "entry of another p": _other_entry(61, 2),
+    "entry of another ell": lambda doc, exports: exports[37, 3],
+    "entry of another p": lambda doc, exports: exports[61, 2],
     "negative edge index": _edit(lambda d: d["edges"][0].update(i=-1)),
     "multiplicity one too high": _edit(lambda d: d["edges"][0].update(m=2)),
     "two vertex indices swapped": _edit(lambda d: (d["vertices"][0].update(index=1),
@@ -561,16 +571,67 @@ TAMPERS = {
     "dropped edge": _edit(lambda d: d["edges"].pop()),
     "duplicated edge record": _edit(lambda d: d["edges"].append(d["edges"][1])),
     "multiplicity ell + 2": _edit(lambda d: d["edges"][3].update(m=4)),
-    # the same graph, so it loads; either way the outputs are a fresh build's
     "unsorted edges list": _edit(lambda d: d["edges"].reverse()),
-    # 3-regular, but with three loops where the trace formula gives one
-    "regular, wrong loop count": _replace_graph(
-        ["8+0*t", "3+10*t", "3+27*t"], [(i, k) for i in range(3) for k in range(i, 3)]),
-    # 3-regular with one loop, but on five vertices where there are three
-    "regular, wrong vertex count": _replace_graph(
-        ["8+0*t", "9+0*t", "10+0*t", "3+10*t", "3+27*t"],
-        [(0, 0), (0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]),
+    "regular, wrong loop count": _replace_graph(*WRONG_LOOPS),
+    "regular, wrong vertex count": _replace_graph(*WRONG_COUNT),
 }
+# the tampers whose document is still that of a Lambda_p(ell), and its
+# (p, ell): the reader returns the graph a document describes, and only the
+# cache asks whether that is the graph it was asked for
+READ_AS = {"unsorted edges list": (37, 2), "entry of another ell": (37, 3),
+           "entry of another p": (61, 2)}
+# a document that is not a dict fails at its first lookup; every other one
+# is refused by a DomainError, or by a TheoremViolation from the graph's check
+NOT_A_DICT = ("list, not a dict", "nested too deep to parse")
+
+
+def _record(p, ell, vertices, table):
+    """A cache entry as ``GraphCache`` lays it out."""
+    head = [p, ell, len(vertices)]
+    return np.concatenate((head, vertices, np.ravel(table))).astype("<i8").tobytes()
+
+
+def _record_of(js, edges):
+    """The record, under the key (37, 2), of the graph on vertices ``js``
+    with edges (i, j) of multiplicity 1."""
+    rows = [[] for _ in js]
+    for i, k in edges:
+        rows[i].append(k)
+        if i != k:
+            rows[k].append(i)
+    return _record(37, 2, ssgraph.parse_j_labels(js, 37), np.sort(rows, axis=1))
+
+
+def _with_fields(change):
+    def tamper(data, cache):
+        fields = np.frombuffer(data, "<i8").copy()
+        change(fields)
+        return fields.tobytes()
+    return tamper
+
+
+def _other_record(p, ell):
+    return lambda data, cache: Path(GraphCache(cache)._path(p, ell)).read_bytes()
+
+
+# ways to damage the cache entry of Lambda_37(2), the int64 record 37, 2, 3,
+# its three vertex keys, then its 3 x 3 table
+RECORD_TAMPERS = {
+    "truncated": lambda data, cache: data[:len(data) // 2],
+    "length not a multiple of 8": lambda data, cache: data[:-3],
+    "trailing bytes": lambda data, cache: data + bytes(8),
+    "entry of another ell": _other_record(37, 3),
+    "entry of another p": _other_record(61, 2),
+    "wrong n": _with_fields(lambda f: f.__setitem__(2, 2)),
+    "float64 bytes": lambda data, cache: np.frombuffer(data, "<i8").astype("<f8").tobytes(),
+    "two vertex keys swapped": _with_fields(lambda f: f.__setitem__([3, 4], f[[4, 3]])),
+    "regular, wrong loop count": lambda data, cache: _record_of(*WRONG_LOOPS),
+    "regular, wrong vertex count": lambda data, cache: _record_of(*WRONG_COUNT),
+}
+
+CACHED_COMMANDS = (["stats", "--p", "37", "--ell", "2"],
+                   ["graph", "--p", "37", "--ell", "2"],
+                   ["intersect", "--p", "37", "--ell1", "2", "--ell2", "3"])
 
 
 class TestCacheRobustness:
@@ -583,23 +644,38 @@ class TestCacheRobustness:
                      "--cache-dir", cache)
         assert "loops             1" in out
 
-    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    @pytest.mark.parametrize("tamper", sorted(RECORD_TAMPERS))
     def test_tampered_entry_is_rebuilt(self, runner, tmp_path, tamper):
-        commands = (["stats", "--p", "37", "--ell", "2"],
-                    ["graph", "--p", "37", "--ell", "2"],
-                    ["intersect", "--p", "37", "--ell1", "2", "--ell2", "3"])
         fresh = [invoke(runner, *cmd, "--cache-dir", str(tmp_path / "fresh"))
-                 for cmd in commands]
+                 for cmd in CACHED_COMMANDS]
         cache = str(tmp_path / "cache")
         for p, ell in ((37, 2), (37, 3), (61, 2)):
             invoke(runner, "stats", "--p", str(p), "--ell", str(ell), "--cache-dir", cache)
-        path = GraphCache(cache)._path(37, 2)
-        with open(path) as fh:
-            good = fh.read()
-        for cmd, expected in zip(commands, fresh):
-            with open(path, "w") as fh:
-                fh.write(TAMPERS[tamper](good, cache))
+        path = Path(GraphCache(cache)._path(37, 2))
+        good = path.read_bytes()
+        for cmd, expected in zip(CACHED_COMMANDS, fresh):
+            path.write_bytes(RECORD_TAMPERS[tamper](good, cache))
             assert invoke(runner, *cmd, "--cache-dir", cache) == expected
+            assert path.read_bytes() == good  # the rebuild stored the entry again
+
+    def test_an_old_json_entry_is_neither_read_nor_touched(self, runner, tmp_path,
+                                                           monkeypatch):
+        fresh = [invoke(runner, *cmd, "--cache-dir", str(tmp_path / "fresh"))
+                 for cmd in CACHED_COMMANDS]
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        old = cache / "graph_p37_ell2_v1.json"
+        old.write_text(json.dumps(graph_to_dict(build_graph(37, 2)), indent=1,
+                                  sort_keys=True) + "\n")
+        before = old.read_bytes()
+        built = []
+        monkeypatch.setattr(cli_module, "build_graph",
+                            lambda p, ell: built.append((p, ell)) or build_graph(p, ell))
+        for cmd, expected in zip(CACHED_COMMANDS, fresh):
+            assert invoke(runner, *cmd, "--cache-dir", str(cache)) == expected
+        assert built == [(37, 2), (37, 3)]  # the first command built (37, 2)
+        assert GraphCache(str(cache)).load(37, 2) is not None
+        assert old.read_bytes() == before
 
 
 class TestCacheRoundTrip:
@@ -621,8 +697,29 @@ class TestCacheRoundTrip:
             assert np.array_equal(loaded.table, built.table)
             assert loaded.table.dtype == built.table.dtype == np.int64
 
+    def test_entry_is_the_little_endian_int64_record(self, graphs, tmp_path):
+        g = graphs(37, 2)
+        path = Path(GraphCache(str(tmp_path)).store(g))
+        assert path.name == "graph_p37_ell2.i64"
+        assert path.read_bytes() == _record(37, 2, [8, 373, 1002], [[0, 1, 2], [0, 2, 2],
+                                                                    [0, 1, 1]])
+
 
 class TestGraphFromDict:
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_tampered_document_is_refused_or_read_as_what_it_says(self, graphs, tamper):
+        exports = {key: graph_to_dict(graphs(*key)) for key in ((37, 2), (37, 3), (61, 2))}
+        doc = TAMPERS[tamper](exports[37, 2], exports)
+        if tamper in READ_AS:
+            g, expected = graph_from_dict(doc), graphs(*READ_AS[tamper])
+            assert (g.p, g.ell) == (expected.p, expected.ell)
+            assert np.array_equal(g.vertices, expected.vertices)
+            assert np.array_equal(g.table, expected.table)
+        else:
+            with pytest.raises(AttributeError if tamper in NOT_A_DICT
+                               else (DomainError, TheoremViolation)):
+                graph_from_dict(doc)
+
     # 45+0*t would alias the key 1*37 + 8 of 8+1*t; 3+37*t spells a key
     # that round-trips, but its c1 is p
     @pytest.mark.parametrize("label", ["45+0*t", "08+0*t", "8+0", "-1+0*t", "3+37*t"])

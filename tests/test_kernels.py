@@ -125,6 +125,19 @@ def test_rows_that_are_not_monic_of_degree_at_least_1_are_refused(coeffs, messag
         kernels.fp2_poly_roots(coeffs, 13, nonresidue(13), 0, *no_known(len(coeffs)))
 
 
+# Y^2 - 1 at p = 13 with known roots of shape (N, K, 2) and counts that do
+# not fit it: a count past K (with K = 0, too), more counts or more known
+# rows than polynomials, a negative count, no root axis, a scalar count
+@pytest.mark.parametrize("known_shape, counts", [
+    ((1, 2, 2), [3]), ((1, 0, 2), [1]), ((1, 1, 2), [1, 1]), ((2, 1, 2), [0]),
+    ((1, 1, 2), [-1]), ((1, 1), [0]), ((1, 0, 2), 0)])
+def test_known_roots_that_do_not_fit_the_batch_are_refused(known_shape, counts):
+    row = [[(12, 0), (0, 0), (1, 0)]]
+    with pytest.raises(DomainError, match=r"not \(N, K, 2\) and \(N,\) with counts in \[0, K\]"):
+        kernels.fp2_poly_roots(row, 13, nonresidue(13), 0, np.zeros(known_shape, np.int64),
+                               counts)
+
+
 def all_of_fp2(p):
     """Every element of F_p^2, as an (p^2, 2) array."""
     return np.stack(np.meshgrid(np.arange(p), np.arange(p), indexing="ij"),
