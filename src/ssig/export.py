@@ -29,20 +29,27 @@ def graph_to_dict(g, stats=None):
 def graph_from_dict(doc):
     """The graph of an export document; (p, ell) is refused as
     ``build_graph`` refuses it, and every edge record is checked, before
-    any array is sized by them."""
+    any array is sized by them.  A document, vertex record or edge record
+    that is not a dict holding its keys is a ``DomainError``."""
+    if not isinstance(doc, dict):
+        raise DomainError(f"an export document must be a dict, not a {type(doc).__name__}")
     if doc.get("version") != EXPORT_VERSION:
         raise DomainError(f"unsupported export version {doc.get('version')}")
-    p, ell = doc["p"], doc["ell"]
+    try:
+        p, ell, c, records, edges = (doc[f] for f in ("p", "ell", "c", "vertices", "edges"))
+        index, labels = ([v[f] for v in records] for f in ("index", "j"))
+        i, k, m = ([e[f] for e in edges] for f in "ijm")
+    except (KeyError, TypeError) as err:  # a missing key; a record that is no dict
+        raise DomainError(f"the export document or a record in it is not a dict "
+                          f"holding its keys: {err!r}") from err
     check_graph_args(p, ell)
-    if nonresidue(p) != doc["c"]:
+    if nonresidue(p) != c:
         raise DomainError("field nonresidue in file disagrees with construction")
-    records = doc["vertices"]
-    if [v["index"] for v in records] != list(range(len(records))):
+    if index != list(range(len(records))):
         raise DomainError("vertex records are not indexed 0..n-1 in order")
-    vertices = parse_j_labels((v["j"] for v in records), p)
+    vertices = parse_j_labels(labels, p)
     n = len(vertices)
-    edges = doc["edges"]
-    i, k, m = (np.array([e[f] for e in edges]) for f in "ijm")
+    i, k, m = (np.array(a) for a in (i, k, m))
     if any(a.dtype != np.int64 or a.ndim != 1 for a in (i, k, m)):
         raise DomainError("edge records must hold int64 integers")
     bad = ((i < 0) | (k < i) | (k >= n) | (m < 1) | (m > ell + 1)).nonzero()[0]

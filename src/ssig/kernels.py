@@ -2,10 +2,13 @@
 
 ``fp2_poly_roots`` finds the roots of a batch of monic polynomials of one
 degree.  ``build_graph`` calls it on Phi_ell(j, Y) at up to
-``ssgraph.ROOT_BATCH_ROWS`` vertices of a BFS layer, with their
-neighbours in earlier layers as known roots.  The numpy root finder of
-``batched_roots`` divides those out and solves a residual of degree <= 2
-in closed form, so only residuals of degree >= 3 need Cantor-Zassenhaus.
+``ssgraph.ROOT_BATCH_ROWS`` Frobenius-orbit representatives of a BFS
+layer, the keys c1*p + c0 with c1 <= (p - c1) mod p, with their
+neighbours in earlier layers as known roots; the row of the conjugate
+key ((p - c1) mod p)*p + c0 is the conj of its representative's row,
+and is not root-found.  The numpy root finder of ``batched_roots``
+divides the known roots out and solves a residual of degree <= 2 in
+closed form, so only residuals of degree >= 3 need Cantor-Zassenhaus.
 The seed scan counts the points of each candidate curve by a numpy sum
 of the quadratic character.
 

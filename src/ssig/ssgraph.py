@@ -26,12 +26,12 @@ SUPPORTED_ELLS = (2, 3, 5, 7)
 # Largest vertex count of a graph; larger p is refused before anything is
 # allocated.  The graph is only its n x (ell+1) table, so the limit bounds
 # the build: at p = 98269 (n = 8189), ``ssig verify`` at ell = 7 takes about
-# 7 s of CPU and peaks at 67 MB RSS, with ROOT_BATCH_ROWS bounding the root
+# 4 s of CPU and peaks at 66 MB RSS, with ROOT_BATCH_ROWS bounding the root
 # finder's share.
 GRAPH_VERTEX_LIMIT = 8192
 
-# Most rows of a BFS layer handed to one root-finder call; a larger layer
-# goes in chunks, so the root finder's working set stays bounded as p grows.
+# Most orbit representatives of a BFS layer handed to one root-finder call;
+# more go in chunks, so the root finder's working set stays bounded as p grows.
 ROOT_BATCH_ROWS = 1024
 
 
@@ -194,10 +194,19 @@ def _specialize(p, c, table, keys):
     return (jpow[:, :, None, :] * table[None, :, :, None] % p).sum(axis=1) % p
 
 
+def _conj_keys(keys, p):
+    """The j-key of j^p for every j-key in ``keys``, elementwise: conj
+    maps c1*p + c0 to ((p - c1) mod p)*p + c0, as t^p = -t."""
+    c1, c0 = np.divmod(np.asarray(keys, dtype=np.int64), p)
+    return -c1 % p * p + c0
+
+
 def _neighbour_keys(p, c, table, keys, known):
     """The (N, ell+1) array of neighbour j-keys of every j-key in ``keys``:
     row i lists the roots of Phi_ell(j, Y) at j = keys[i], each repeated
     by its multiplicity, all found in one batched root-finder call.
+    ``build_graph`` passes only Frobenius-orbit representatives, and
+    derives the rows of their conjugates from these.
 
     ``known[i]`` lists distinct j-keys already known to be neighbours of
     ``keys[i]``; the root finder divides them out first.
@@ -239,16 +248,22 @@ def build_graph(p, ell):
     """Construct Lambda_p(ell) by BFS and verify all structural theorems.
 
     The BFS runs on j-keys (see the module docstring), one layer at a
-    time: the neighbours of the vertices of the frontier come from one
-    batched root-finder call per ``ROOT_BATCH_ROWS`` of them.  Phi_ell is
-    symmetric, so every vertex of the previous layer adjacent to a
-    frontier vertex j' is a known root of Phi_ell(j', Y).  The root finder divides those out,
-    raising ``TheoremViolation`` if one leaves a remainder, and solves
-    what is left, in closed form when its degree is at most 2.
-    Multiplicities are taken on the undeflated Phi_ell(j', Y), so the
-    symmetry check of ``check_structure`` does not rest on the symmetry
-    used here.  The sorted keys are the vertices, and one
-    ``np.searchsorted`` turns the neighbour keys into the table.
+    time.  j -> j^p fixes the seed, which lies in F_p, and is a graph
+    automorphism: the roots of Phi_ell(j^p, Y), multiplicities included,
+    are the conjugates of those of Phi_ell(j, Y).  So every layer is
+    closed under conj (``_conj_keys``), or ``TheoremViolation`` is
+    raised, and only its Frobenius-orbit representatives, the keys with
+    key <= conj(key), are root-found, one batched root-finder call per
+    ``ROOT_BATCH_ROWS`` of them; the row of each other vertex is the conj
+    of its representative's row.  Phi_ell is symmetric, so every vertex
+    of the previous layer adjacent to a representative j' is a known
+    root of Phi_ell(j', Y).  The root finder divides those out, raising
+    ``TheoremViolation`` if one leaves a remainder, and solves what is
+    left, in closed form when its degree is at most 2.  Multiplicities
+    are taken on the undeflated Phi_ell(j', Y), so the symmetry check of
+    ``check_structure`` rests neither on the symmetry used here nor on
+    conj.  The sorted keys are the vertices, and one ``np.searchsorted``
+    turns the neighbour keys into the table.
     """
     check_graph_args(p, ell)
     c = nonresidue(p)
@@ -257,14 +272,24 @@ def build_graph(p, ell):
     # frontier j-key -> its distinct neighbours in the previous layer
     layer = {find_supersingular_seed(p): ()}
     while layer:
-        frontier, known = list(layer), list(layer.values())
+        frontier = np.fromiter(layer, np.int64, len(layer))
+        partner = _conj_keys(frontier, p)
+        if layer.keys() != set(partner.tolist()):
+            raise TheoremViolation(f"BFS layer not closed under Frobenius "
+                                   f"(p={p}, ell={ell})")
+        is_rep = frontier <= partner
+        reps, mates = frontier[is_rep], partner[is_rep]
+        known = [layer[k] for k in reps.tolist()]
         found = np.concatenate([
-            _neighbour_keys(p, c, table, frontier[s:s + ROOT_BATCH_ROWS],
+            _neighbour_keys(p, c, table, reps[s:s + ROOT_BATCH_ROWS],
                             known[s:s + ROOT_BATCH_ROWS])
-            for s in range(0, len(frontier), ROOT_BATCH_ROWS)])
-        rows.update(zip(frontier, found))
+            for s in range(0, len(reps), ROOT_BATCH_ROWS)])
+        moved = reps < mates  # the rest lie in F_p, their own partners
+        solved = np.concatenate((reps, mates[moved]))
+        found = np.concatenate((found, _conj_keys(found[moved], p)))
+        rows.update(zip(solved.tolist(), found))
         layer = {}
-        for u, row in zip(frontier, found.tolist()):
+        for u, row in zip(solved.tolist(), found.tolist()):
             for k in dict.fromkeys(row):
                 if k not in rows:
                     layer.setdefault(k, []).append(u)

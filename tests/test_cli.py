@@ -554,7 +554,13 @@ TAMPERS = {
     "truncated": lambda doc, exports: {k: v[:len(v) // 2] if isinstance(v, list) else v
                                        for k, v in doc.items()},
     "list, not a dict": lambda doc, exports: [doc],
+    "string, not a dict": lambda doc, exports: "x",
     "nested too deep to parse": lambda doc, exports: _nested(100000),
+    "no edges key": _edit(lambda d: d.pop("edges")),
+    "vertex record not a dict": _edit(lambda d: d["vertices"].__setitem__(0, ["8+0*t"])),
+    "vertex record without j": _edit(lambda d: d["vertices"][0].pop("j")),
+    "edge record not a dict": _edit(lambda d: d["edges"].__setitem__(0, "x")),
+    "edge record without m": _edit(lambda d: d["edges"][0].pop("m")),
     "malformed j": _edit(lambda d: d["vertices"][0].update(j="garbage")),
     "j not a string": _edit(lambda d: d["vertices"][0].update(j=5)),
     "edge index past n": _edit(lambda d: d["edges"][0].update(j=3)),
@@ -580,9 +586,12 @@ TAMPERS = {
 # cache asks whether that is the graph it was asked for
 READ_AS = {"unsorted edges list": (37, 2), "entry of another ell": (37, 3),
            "entry of another p": (61, 2)}
-# a document that is not a dict fails at its first lookup; every other one
-# is refused by a DomainError, or by a TheoremViolation from the graph's check
-NOT_A_DICT = ("list, not a dict", "nested too deep to parse")
+# a document, or a record in it, that is not a dict holding its keys is
+# refused by a DomainError; every other one by a DomainError, or by a
+# TheoremViolation from the graph's check
+NOT_A_DICT = ("list, not a dict", "string, not a dict", "nested too deep to parse",
+              "no edges key", "vertex record not a dict", "vertex record without j",
+              "edge record not a dict", "edge record without m")
 
 
 def _record(p, ell, vertices, table):
@@ -716,7 +725,7 @@ class TestGraphFromDict:
             assert np.array_equal(g.vertices, expected.vertices)
             assert np.array_equal(g.table, expected.table)
         else:
-            with pytest.raises(AttributeError if tamper in NOT_A_DICT
+            with pytest.raises(DomainError if tamper in NOT_A_DICT
                                else (DomainError, TheoremViolation)):
                 graph_from_dict(doc)
 

@@ -8,6 +8,7 @@ import pytest
 from ssig import kernels, ssgraph
 from ssig.arith import DomainError, nonresidue
 from ssig.brandt import TheoremViolation, brandt_powers, trace_formula, vertex_count
+from ssig.cli import main
 from ssig.export import GraphCache, graph_from_dict, graph_to_dict
 from ssig.ssgraph import (
     SUPPORTED_ELLS,
@@ -379,9 +380,16 @@ class TestDeflatedRootFinder:
             _neighbour_keys(13, c, table, [j], [[r]])
 
 
+def conj(key, p):
+    """The j-key of j^p: (c0 + c1*t)^p = c0 - c1*t, as t^p = -t."""
+    c1, c0 = divmod(key, p)
+    return (-c1 % p) * p + c0
+
+
 class TestKnownNeighbourHandOff:
-    """Which known roots build_graph hands the root finder shows in no
-    output, so the calls themselves are recorded."""
+    """Which rows build_graph root-finds, and which known roots it hands
+    the root finder, shows in no output, so the calls themselves are
+    recorded."""
 
     @pytest.mark.parametrize("p", [433, 1009])
     @pytest.mark.parametrize("ell", SUPPORTED_ELLS)
@@ -391,7 +399,9 @@ class TestKnownNeighbourHandOff:
         rows = _specialize(p, nonresidue(p), _modpoly_matrix(ell, p), g.vertices)
         vertex_of_row = {row.tobytes(): v for v, row in enumerate(rows)}
         assert len(vertex_of_row) == g.n
-        index = {j: i for i, j in enumerate(g.vertices.tolist())}
+        keys = g.vertices.tolist()
+        index = {j: i for i, j in enumerate(keys)}
+        partner = [index[conj(j, p)] for j in keys]
         find, calls = kernels.fp2_poly_roots, []
 
         def record(coeffs, p, c, seed, known, known_counts):
@@ -403,13 +413,19 @@ class TestKnownNeighbourHandOff:
         monkeypatch.setattr(kernels, "fp2_poly_roots", record)
         build_graph(p, ell)
         layers, nearer = bfs_layers(g)
-        # one root-finder call per BFS layer, as each is below ROOT_BATCH_ROWS
+        # one root-finder call per BFS layer, as each is below ROOT_BATCH_ROWS,
+        # holding exactly the layer's Frobenius-orbit representatives
         assert max(map(len, layers)) <= ssgraph.ROOT_BATCH_ROWS
         assert len(calls) == len(layers)
         for call, layer in zip(calls, layers):
-            assert sorted(v for v, _ in call) == sorted(layer)
+            assert sorted(partner[v] for v in layer) == sorted(layer)
+            assert sorted(v for v, _ in call) == sorted(
+                v for v in layer if keys[v] <= keys[partner[v]])
             for v, given in call:
                 assert given == sorted(nearer[v])
+        # the rows that were not root-found are the conj of their partners'
+        for v, w in enumerate(partner):
+            assert g.table[w].tolist() == sorted(partner[k] for k in g.table[v].tolist())
 
     @pytest.mark.parametrize("p,ell", [(433, 5), (1009, 2)])
     def test_layers_in_chunks_of_root_batch_rows_build_the_same_graph(
@@ -424,6 +440,22 @@ class TestKnownNeighbourHandOff:
         monkeypatch.setattr(kernels, "fp2_poly_roots", record)
         monkeypatch.setattr(ssgraph, "ROOT_BATCH_ROWS", 7)
         g = build_graph(p, ell)
-        assert max(sizes) == 7 and sum(sizes) == g.n
+        fp_vertices = int(np.count_nonzero(g.vertices < p))
+        assert 0 < fp_vertices < g.n
+        assert max(sizes) == 7 and sum(sizes) == (g.n + fp_vertices) // 2
         assert np.array_equal(g.vertices, default.vertices)
         assert np.array_equal(g.table, default.table)
+
+    def test_layer_not_closed_under_frobenius_raises(self, graphs, monkeypatch,
+                                                    tmp_path, capsys):
+        # a seed outside F_p: its first layer {seed} lacks the seed's conjugate
+        g = graphs(433, 3)
+        seed = int(g.vertices[-1])
+        assert seed >= 433 and conj(seed, 433) != seed
+        monkeypatch.setattr(ssgraph, "find_supersingular_seed", lambda p: seed)
+        with pytest.raises(TheoremViolation, match="BFS layer not closed under Frobenius"):
+            build_graph(433, 3)
+        capsys.readouterr()
+        assert main(["verify", "--p", "433", "--ell", "3",
+                     "--cache-dir", str(tmp_path)]) == 3
+        assert "BFS layer not closed under Frobenius" in capsys.readouterr().err

@@ -37,5 +37,14 @@ def test_ab_builds_times_a_tree_against_itself_and_restores_its_modules(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("round 1: old ") and out[0].endswith("(old first)")
     assert out[1] == "tree  median_s  min_s  wins"
-    assert [line.split()[0] for line in out[2:]] == ["old", "new"]
+    assert [line.split()[0] for line in out[2:4]] == ["old", "new"]
+    # then each tree's median per graph of the build_sweep workload
+    assert out[4] == "    p  ell  old_median_ms  new_median_ms"
+    rows = [line.split() for line in out[5:]]
+    assert [(int(p), int(ell)) for p, ell, _, _ in rows] == tool.sweep_graphs()
+    assert all(float(ms) > 0 for row in rows for ms in row[2:])
+    # a single round's round total is the sum of its per-graph times
+    for side, column in (("old", 2), ("new", 3)):
+        total = float(out[0].split(f"{side} ")[1].split(" s")[0])
+        assert abs(sum(float(row[column]) for row in rows) / 1e3 - total) < 0.002
     assert sys.modules["ssig"] is ssig

@@ -12,7 +12,8 @@ process CPU ``build_graph`` over the graphs of perfbench's ``build_sweep``
 workload (``BuildSweep.GRAPHS``).  Separate processes of the same code
 spread too widely to show a change of a few per cent; turns in one
 process do not.  Prints every round, then each tree's median, minimum
-and round wins.
+and round wins, then each tree's median per graph, so a change that
+moves some graphs and not others shows which.
 """
 
 import argparse
@@ -56,24 +57,26 @@ def load_tree(tree):
 
 
 def turn(modules, graphs):
-    """Process CPU seconds of ``build_graph`` over ``graphs`` in the tree
-    whose modules are ``modules``, from cleared caches."""
+    """Process CPU seconds of ``build_graph`` for each of ``graphs`` in the
+    tree whose modules are ``modules``, from cleared caches."""
     _take_ssig()
     sys.modules.update(modules)
     modules["ssig.classnum"]._hurwitz_cache.clear()
     modules["ssig.arith"].cached_is_prime.cache_clear()
     build_graph = modules["ssig.ssgraph"].build_graph
     gc.collect()
-    start = time.process_time()
+    times = []
     for p, ell in graphs:
+        start = time.process_time()
         build_graph(p, ell)
-    return time.process_time() - start
+        times.append(time.process_time() - start)
+    return times
 
 
-def ab_rounds(old, new, rounds):
-    """[(first, {"old": s, "new": s})] for each round, timed as the module
-    docstring says; the caller's ssig modules are left as they were."""
-    graphs = sweep_graphs()
+def ab_rounds(old, new, graphs, rounds):
+    """[(first, {"old": [s, ...], "new": [s, ...]})] for each round, one
+    time per graph of ``graphs``, timed as the module docstring says; the
+    caller's ssig modules are left as they were."""
     own = _take_ssig()
     try:
         trees = {"old": load_tree(old), "new": load_tree(new)}
@@ -97,15 +100,22 @@ def main(argv=None):
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    results = ab_rounds(args.old_src, args.new_src, args.rounds)
-    for rnd, (first, cpu) in enumerate(results, 1):
+    graphs = sweep_graphs()
+    results = ab_rounds(args.old_src, args.new_src, graphs, args.rounds)
+    totals = [{side: sum(times) for side, times in cpu.items()} for _, cpu in results]
+    for rnd, ((first, _), cpu) in enumerate(zip(results, totals), 1):
         print(f"round {rnd}: old {cpu['old']:.3f} s, new {cpu['new']:.3f} s "
               f"({first} first)")
     print("tree  median_s  min_s  wins")
     for side, other in (("old", "new"), ("new", "old")):
-        times = [cpu[side] for _, cpu in results]
-        wins = sum(cpu[side] < cpu[other] for _, cpu in results)
+        times = [cpu[side] for cpu in totals]
+        wins = sum(cpu[side] < cpu[other] for cpu in totals)
         print(f"{side:4}  {statistics.median(times):8.3f}  {min(times):5.3f}  {wins}")
+    print("    p  ell  old_median_ms  new_median_ms")
+    for g, (p, ell) in enumerate(graphs):
+        old, new = (statistics.median(cpu[side][g] for _, cpu in results) * 1e3
+                    for side in ("old", "new"))
+        print(f"{p:5}  {ell:3}  {old:13.1f}  {new:13.1f}")
     return 0
 
 
