@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import DomainError, cached_is_prime
-from .classnum import HURWITZ_D_LIMIT, hurwitz_modified
+from .classnum import HURWITZ_D_LIMIT, cache_trace_family, hurwitz_modified
 
 ENTRY_LIMIT = 1 << 40  # row sums above this risk int64 trouble downstream
 
@@ -69,6 +69,9 @@ def check_trace_degree(m):
 def trace_formula(p, m):
     """Tr(B(m)) = sum over s^2 <= 4m of H_p(4m - s^2), as an integer.
 
+    The H(4m - s^2) come from one count of reduced forms for every s at
+    once (``classnum.cache_trace_family``); the terms of s and -s agree,
+    so 24 H_p is summed in integers over s >= 0, twice for s > 0.
     Non-integral or negative results mean an arithmetic bug, not bad input.
     """
     if p < 5 or not cached_is_prime(p):
@@ -76,16 +79,19 @@ def trace_formula(p, m):
     if m < 1 or m % p == 0:
         raise DomainError(f"m must be a positive integer coprime to p, got m={m}")
     check_trace_degree(m)
-    total = Fraction(0)
-    smax = math.isqrt(4 * m)
-    for s in range(-smax, smax + 1):
-        total += hurwitz_modified(4 * m - s * s, p)
-    if total.denominator != 1 or total < 0:
+    cache_trace_family(m)
+    total = 0  # 24 Tr(B(m))
+    for s in range(math.isqrt(4 * m) + 1):
+        h = hurwitz_modified(4 * m - s * s, p)
+        if 24 % h.denominator:
+            raise TheoremViolation(f"24 H_{p}({4 * m - s * s}) = {24 * h} is not an integer")
+        total += (2 if s else 1) * (24 // h.denominator) * h.numerator
+    if total % 24 or total < 0:
         raise TheoremViolation(
-            f"trace formula gave a non-integral or negative value {total} "
+            f"trace formula gave a non-integral or negative value {Fraction(total, 24)} "
             f"for p={p}, m={m}"
         )
-    return int(total)
+    return total // 24
 
 
 def vertex_count(p):

@@ -34,9 +34,15 @@ def decompose(D):
 
 # Largest D that hurwitz accepts; trace_formula(p, m) needs 4m <= it, so
 # m <= 10^6.  hurwitz(D) walks about D/7 candidate forms in int64 arrays
-# (4.6 MB each at the limit), and trace_formula at m = 10^6 takes about
-# 4 s of CPU.
+# (4.6 MB each at the limit).  trace_formula at m = 10^6 counts the forms
+# of all 4m - s^2 at once in about 0.16 s of CPU, where counting each
+# 4m - s^2 alone took about 2 s.
 HURWITZ_D_LIMIT = 4_000_000
+
+# Table entries plus forms per block of a in _reduced_form_family, taken
+# as 2a + 2 sqrt(m) for each a.  The count peaks at 0.5 MB at m = 35^3 and
+# 1.2 MB at m = 10^6; 2^14 peaked at 0.9 and 1.6 MB, no faster at 35^3.
+FAMILY_BLOCK_ENTRIES = 1 << 13
 
 _hurwitz_cache = {}
 
@@ -47,6 +53,11 @@ def _isqrt_array(x):
     r -= r * r > x
     r += (r + 1) * (r + 1) <= x
     return r
+
+
+def _ranges(n):
+    """0, 1, ..., n[i] - 1 for each i in turn, as one int64 array."""
+    return np.arange(int(n.sum()), dtype=np.int64) - np.repeat(np.cumsum(n) - n, n)
 
 
 def _reduced_form_count(D):
@@ -77,6 +88,63 @@ def _reduced_form_count(D):
     return Fraction(sixths, 6)
 
 
+def _reduced_form_family(m):
+    """6 H(4m - s^2) for s = 0 .. isqrt(4m - 1), as an int64 array, from
+    one count of the reduced forms of all those discriminants together.
+
+    0 <= b <= a <= c and b^2 - 4ac = s^2 - 4m give a form exactly when
+    s^2 = b^2 + 4m mod 4a, and then c >= a exactly when
+    s^2 <= 4m + b^2 - 4a^2.  So a runs to sqrt(4m/3), and the s that
+    (a, b) admits are the roots r in [0, 2a) of s^2 = b^2 + 4m mod 4a,
+    stepped by 2a, since s^2 mod 4a depends only on s mod 2a.  The weights
+    and the unit corrections are those of ``_reduced_form_count``.  The a
+    go in blocks of about FAMILY_BLOCK_ENTRIES table entries plus forms.
+    Needs 4m <= HURWITZ_D_LIMIT.
+    """
+    smax = math.isqrt(4 * m - 1)
+    forms = np.zeros(smax + 1, dtype=np.int64)
+    a = np.arange(1, math.isqrt(4 * m // 3) + 1, dtype=np.int64)
+    size = 2 * a + smax
+    block = (np.cumsum(size) - size) // FAMILY_BLOCK_ENTRIES
+    for cut in np.split(a, np.flatnonzero(np.diff(block)) + 1):
+        forms += _family_block(m, cut, smax)
+    s = np.arange(smax + 1, dtype=np.int64)
+    q4, q3 = m - (s // 2) ** 2, (4 * m - s * s) // 3
+    sixths = 6 * forms - 3 * ((s % 2 == 0) & (_isqrt_array(q4) ** 2 == q4))
+    return sixths - 4 * ((s * s % 3 == m % 3) & (_isqrt_array(q3) ** 2 == q3))
+
+
+def _family_block(m, a, smax):
+    """The weighted form counts of ``_reduced_form_family`` by s, over the
+    consecutive values ``a`` only."""
+    na, a0 = a.size, int(a[0])
+    # every x in [0, 2a), grouped by (x^2 mod 4a, a) at slot (x^2 mod 4a) na + a - a0;
+    # 4a < 2^15 for 4m <= HURWITZ_D_LIMIT, and the int16 argsort is a radix sort
+    x, ax = _ranges(2 * a), np.repeat(a, 2 * a)
+    sq = x * x % (4 * ax)
+    roots = x[np.argsort(sq.astype(np.int16), kind="stable")]
+    count = np.bincount(sq * na + ax - a0, minlength=4 * int(a[-1]) * na)
+    start = np.cumsum(count) - count
+    # the pairs (a, b), 0 <= b <= a, with c >= a for some s >= 0
+    b, ab = _ranges(a + 1), np.repeat(a, a + 1)
+    top = 4 * m + b * b - 4 * ab * ab
+    keep = top >= 0
+    b, ab, top = b[keep], ab[keep], top[keep]
+    t = _isqrt_array(top)
+    slot = (b * b + 4 * m) % (4 * ab) * na + ab - a0
+    # (a, -b, c) is reduced too unless b = 0, a = b or, at s = t, a = c
+    double = (b > 0) & (b < ab)
+    forms = -np.bincount(t[double & (t * t == top)], minlength=smax + 1)
+    # one entry per (pair, root), then one per (pair, root, s)
+    nr = count[slot]
+    r = roots[_ranges(nr) + np.repeat(start[slot], nr)]
+    t, step, weight = (np.repeat(v, nr) for v in (t, 2 * ab, 1.0 + double))
+    ns = np.where(r <= t, (t - r) // step + 1, 0)
+    s = np.repeat(r, ns) + np.repeat(step, ns) * _ranges(ns)
+    # the weights are 1 and 2, so every float sum is an exact integer
+    return forms + np.bincount(s, np.repeat(weight, ns), smax + 1).astype(np.int64)
+
+
 def _is_square(n):
     return math.isqrt(n) ** 2 == n
 
@@ -86,8 +154,10 @@ def hurwitz(D):
 
     H(0) = -1/12; for D > 0 the weighted count sum h(d)/u(d) over all
     d * f^2 = -D with d a negative discriminant (zero for D = 1, 2 mod 4),
-    which is the weighted number of reduced forms of discriminant -D.
-    D above HURWITZ_D_LIMIT raises DomainError.
+    which is the weighted number of reduced forms of discriminant -D,
+    counted for this D alone unless ``cache_trace_family`` has counted it
+    with the rest of its trace family.  D above HURWITZ_D_LIMIT raises
+    DomainError.
     """
     if D < 0:
         raise DomainError(f"hurwitz requires D >= 0, got {D}")
@@ -100,6 +170,16 @@ def hurwitz(D):
     if D not in _hurwitz_cache:
         _hurwitz_cache[D] = _reduced_form_count(D) if D % 4 in (0, 3) else Fraction(0)
     return _hurwitz_cache[D]
+
+
+def cache_trace_family(m):
+    """Put H(4m - s^2) for every s with 4m - s^2 > 0 into the cache that
+    ``hurwitz`` reads, all from one ``_reduced_form_family(m)``, unless the
+    cache holds every one of them already."""
+    ds = [4 * m - s * s for s in range(math.isqrt(4 * m - 1) + 1)]
+    if not all(d in _hurwitz_cache for d in ds):
+        sixths = _reduced_form_family(m).tolist()
+        _hurwitz_cache.update((d, Fraction(x, 6)) for d, x in zip(ds, sixths))
 
 
 def hurwitz_modified(D, p):

@@ -153,10 +153,12 @@ def find_first_prime(props, start=5, cap=10**6):
     if start < 5:
         start = 5
     skip = {ell for prop in props for ell in prop.ells}
-    p = start
+    # an undirected property fails at every p != 1 mod 12 (holds_by_trace)
+    step = 12 if any(prop.undirected for prop in props) else 1
+    p = start + (1 - start) % step
     while p <= cap:
         if is_prime(p) and p not in skip:
             if all(holds_by_trace(prop, p) for prop in props):
                 return p
-        p += 1
+        p += step
     raise DomainError(f"no prime satisfying the properties below {cap}")

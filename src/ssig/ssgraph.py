@@ -126,7 +126,15 @@ def find_supersingular_seed(p):
     return j
 
 
+def _check_int(name, x):
+    # a bool is an int but no prime or degree; pow(c, e, p) refuses a
+    # numpy integer p
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise DomainError(f"{name} must be an int, got {x!r} of type {type(x).__name__}")
+
+
 def _check_graph_prime(p):
+    _check_int("p", p)
     if not cached_is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p % 12 != 1:
@@ -145,6 +153,7 @@ def check_graph_args(p, ell):
     """Raise ``DomainError`` unless ``build_graph(p, ell)`` accepts (p, ell);
     costs no more than a primality test."""
     _check_graph_prime(p)
+    _check_int("ell", ell)
     if ell not in SUPPORTED_ELLS:
         raise DomainError(f"ell must be one of {SUPPORTED_ELLS}, got {ell}")
     if p == ell:

@@ -2,14 +2,19 @@
 
 No command or library path of ``ssig`` runs these: the class number of a
 discriminant by enumerating reduced forms one at a time, the unit factor,
-fundamentality, the row sum of B(m), a curve's point-count sum, and the
-neighbours of one j-invariant.  The tests compare the package's routes
+fundamentality, the row sum of B(m), the trace formula as a Fraction sum
+over every s, a curve's point-count sum, and the neighbours of one
+j-invariant.  The tests compare the package's routes
 with them.
 """
 
+import math
 from collections import Counter
+from fractions import Fraction
 
-from ssig.arith import DomainError, factor, nonresidue
+from ssig.arith import DomainError, cached_is_prime, factor, nonresidue
+from ssig.brandt import TheoremViolation, check_trace_degree
+from ssig.classnum import hurwitz_modified
 from ssig.kernels import _chi_table
 from ssig.ssgraph import _modpoly_matrix, _neighbour_keys
 
@@ -81,6 +86,27 @@ def sigma_coprime(m, p):
         if p % q:
             total *= (q ** (e + 1) - 1) // (q - 1)
     return total
+
+
+def trace_formula(p, m):
+    """Tr(B(m)) as the Fraction sum of H_p(4m - s^2) over every s in
+    [-S, S], S = isqrt(4m): ``brandt.trace_formula`` as it was before it
+    counted the H(4m - s^2) together."""
+    if p < 5 or not cached_is_prime(p):
+        raise DomainError(f"p must be a prime >= 5, got {p}")
+    if m < 1 or m % p == 0:
+        raise DomainError(f"m must be a positive integer coprime to p, got m={m}")
+    check_trace_degree(m)
+    total = Fraction(0)
+    smax = math.isqrt(4 * m)
+    for s in range(-smax, smax + 1):
+        total += hurwitz_modified(4 * m - s * s, p)
+    if total.denominator != 1 or total < 0:
+        raise TheoremViolation(
+            f"trace formula gave a non-integral or negative value {total} "
+            f"for p={p}, m={m}"
+        )
+    return int(total)
 
 
 def curve_trace_sum(p, a, b):

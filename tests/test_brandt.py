@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ssig import classnum
 from ssig.arith import DomainError, is_prime
 from ssig.classnum import HURWITZ_D_LIMIT
 from ssig.brandt import TheoremViolation, brandt_powers, trace_formula, vertex_count
@@ -10,6 +11,7 @@ from ssig.ssgraph import IsogenyGraph
 
 from _dense import dense
 from _oracles import sigma_coprime
+from _oracles import trace_formula as trace_by_fractions
 
 
 class TestSigmaCoprime:
@@ -72,6 +74,24 @@ class TestTraceFormula:
         a = brandt_powers(graphs(37, 3), 3)[-1]
         b = brandt_powers(graphs(37, 7), 3)[-1]
         assert trace_formula(37, 9261) == np.trace(a @ b)
+
+    def test_matches_the_fraction_sum_over_every_s(self, monkeypatch):
+        # each side from a cache of its own, so that trace_formula counts
+        # every family and the oracle every discriminant alone
+        for m in range(1, 401):
+            monkeypatch.setattr(classnum, "_hurwitz_cache", {})
+            got = {p: trace_formula(p, m) for p in (5, 13, 37, 109) if m % p}
+            monkeypatch.setattr(classnum, "_hurwitz_cache", {})
+            assert got == {p: trace_by_fractions(p, m) for p in got}, m
+
+    def test_terms_with_p_squared_in_d_and_with_d_zero(self, monkeypatch):
+        # H_13 recurses on D / 13^2 at s = 15; D = 0 at s = 2 sqrt(m)
+        assert 4 * 183 - 15**2 == 3 * 13**2
+        for p, m in ((13, 183), (13, 14**2), (109, 42**2)):
+            monkeypatch.setattr(classnum, "_hurwitz_cache", {})
+            got = trace_formula(p, m)
+            monkeypatch.setattr(classnum, "_hurwitz_cache", {})
+            assert got == trace_by_fractions(p, m), (p, m)
 
     def test_degree_one_gives_vertex_count(self):
         for p in (13, 37, 109, 193, 433, 1009):

@@ -1,13 +1,18 @@
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ssig import classnum
 from ssig.arith import DomainError, kronecker
 from ssig.classnum import (
     HURWITZ_D_LIMIT,
     _isqrt_array,
+    _reduced_form_count,
+    _reduced_form_family,
+    cache_trace_family,
     decompose,
     hurwitz,
     hurwitz_modified,
@@ -160,6 +165,80 @@ class TestHurwitzKronecker:
         # for prime ell the right side collapses to 2*ell
         for ell in (2, 3, 5, 7, 11, 13, 97):
             assert hurwitz_kronecker_lhs(ell) == 2 * ell
+
+
+@functools.lru_cache(maxsize=None)
+def family(m):
+    return _reduced_form_family(m).tolist()
+
+
+def per_discriminant(m, s):
+    """6 H(4m - s^2) by the count of the forms of that one discriminant."""
+    sixths = 6 * _reduced_form_count(4 * m - s * s)
+    assert sixths.denominator == 1
+    return int(sixths)
+
+
+class TestTraceFamily:
+    """``_reduced_form_family(m)`` against ``_reduced_form_count``, called
+    directly, so that neither reads the cache of ``hurwitz``."""
+
+    def test_every_s_of_every_small_m(self):
+        for m in range(1, 501):
+            assert len(family(m)) == math.isqrt(4 * m - 1) + 1, m
+            assert family(m) == [per_discriminant(m, s) for s in range(len(family(m)))], m
+
+    @pytest.mark.parametrize("m", [35**3, 10**5, 10**6])
+    def test_sampled_s_up_to_the_limit(self, m):
+        smax = math.isqrt(4 * m - 1)
+        samples = sorted({*range(0, smax + 1, 37), *range(smax - 5, smax + 1)})
+        for s in samples:
+            assert family(m)[s] == per_discriminant(m, s), (m, s)
+
+    def test_hurwitz_kronecker_identity(self):
+        # 6 times the sum over s in [-S, S] of H(4m - s^2), where the
+        # family leaves out H(0) = -1/12 at s = +-2 sqrt(m) for square m
+        for m in [*range(1, 1001), 35**3, 10**6]:
+            square = math.isqrt(m) ** 2 == m
+            lhs = 2 * sum(family(m)) - family(m)[0] - square
+            assert lhs == 6 * (2 * sigma(m) - min_sum(m)), m
+
+    def test_each_a_in_a_block_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(classnum, "FAMILY_BLOCK_ENTRIES", 1)
+        for m in [*range(1, 201), 7776, 35**3]:
+            assert _reduced_form_family(m).tolist() == family(m), m
+
+    def test_unit_corrections(self):
+        # D/4 is a square at D = 36 = 4 * 9; D/3 at 27 = 4 * 7 - 1^2 and
+        # at 12 = 4 * 3
+        for m, s, D in ((9, 0, 36), (7, 1, 27), (3, 0, 12)):
+            assert family(m)[s] == 6 * hurwitz_by_class_numbers(D), D
+
+
+class TestCacheTraceFamily:
+    def test_fills_the_cache_of_hurwitz(self, monkeypatch):
+        monkeypatch.setattr(classnum, "_hurwitz_cache", {})
+        cache_trace_family(183)
+        smax = math.isqrt(4 * 183 - 1)
+        assert classnum._hurwitz_cache == {
+            4 * 183 - s * s: Fraction(per_discriminant(183, s), 6) for s in range(smax + 1)}
+        assert hurwitz(4 * 183 - 11**2) == hurwitz_by_class_numbers(4 * 183 - 11**2)
+
+    def test_counts_nothing_when_the_cache_holds_the_family(self, monkeypatch):
+        monkeypatch.setattr(classnum, "_hurwitz_cache", {})
+        for s in range(math.isqrt(4 * 50 - 1) + 1):
+            hurwitz(200 - s * s)
+        counted = []
+        monkeypatch.setattr(classnum, "_reduced_form_family", counted.append)
+        cache_trace_family(50)
+        assert counted == []
+
+    def test_counts_the_family_when_one_value_is_missing(self, monkeypatch):
+        monkeypatch.setattr(classnum, "_hurwitz_cache", {})
+        for s in range(1, math.isqrt(4 * 50 - 1) + 1):
+            hurwitz(200 - s * s)
+        cache_trace_family(50)
+        assert classnum._hurwitz_cache[200] == hurwitz_by_class_numbers(200)
 
 
 class TestHurwitzModified:

@@ -729,6 +729,15 @@ class TestGraphFromDict:
                                else (DomainError, TheoremViolation)):
                 graph_from_dict(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("p", "37"), ("p", 37.0), ("p", True), ("p", np.int64(37)),
+        ("ell", "2"), ("ell", 2.0), ("ell", True), ("ell", np.int64(2))])
+    def test_p_or_ell_that_is_not_an_int_is_refused(self, graphs, field, value):
+        doc = graph_to_dict(graphs(37, 2))
+        doc[field] = value
+        with pytest.raises(DomainError, match=f"^{field} must be an int"):
+            graph_from_dict(doc)
+
     # 45+0*t would alias the key 1*37 + 8 of 8+1*t; 3+37*t spells a key
     # that round-trips, but its c1 is p
     @pytest.mark.parametrize("label", ["45+0*t", "08+0*t", "8+0", "-1+0*t", "3+37*t"])

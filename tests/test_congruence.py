@@ -149,6 +149,36 @@ class TestFirstPrimes:
         with pytest.raises(DomainError):
             find_first_prime(GraphProperty("simple", (2,)), cap=100)
 
+    SEARCHES = [  # criterion 2's searches, and one mixing the directions
+        [GraphProperty("noLoops", (3,))], [GraphProperty("noLoops", (2,))],
+        [GraphProperty("noLoops", (2,), undirected=False)],
+        [GraphProperty("simple", (2,))],
+        [GraphProperty("noLoops", (2,)), GraphProperty("noLoops", (3,))],
+        [GraphProperty("simple", (2,)), GraphProperty("simple", (3,))],
+        [GraphProperty("noLoops", (2,), undirected=False), GraphProperty("noLoops", (3,))],
+    ]
+
+    @pytest.mark.parametrize("start", [5, 14, 2690])
+    @pytest.mark.parametrize("props", SEARCHES, ids=range(len(SEARCHES)))
+    def test_same_prime_as_a_scan_of_every_p(self, props, start):
+        def every_p():
+            p = start
+            while not (is_prime(p) and p not in {ell for prop in props for ell in prop.ells}
+                       and all(holds_by_trace(prop, p) for prop in props)):
+                p += 1
+            return p
+
+        assert find_first_prime(props, start=start) == every_p()
+
+    def test_cap_is_inclusive_and_names_itself(self):
+        prop = GraphProperty("noLoops", (3,))
+        assert find_first_prime(prop, cap=97) == 97
+        with pytest.raises(DomainError, match="^no prime satisfying the properties below 96$"):
+            find_first_prime(prop, cap=96)
+        with pytest.raises(DomainError, match="below 100$"):
+            find_first_prime([prop, GraphProperty("noLoops", (2,), undirected=False)],
+                             start=98, cap=100)
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             find_first_prime([])

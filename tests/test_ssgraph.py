@@ -200,6 +200,21 @@ class TestBuildGraph:
         with pytest.raises(DomainError):
             build_graph(109, 11)  # unsupported degree
 
+    # a bool is an int but no prime or degree (True == 1); a numpy integer
+    # is refused too, where it used to reach pow() and raise TypeError
+    @pytest.mark.parametrize("p, ell", [
+        (True, 2), (np.int64(109), 2), (109.0, 2), ("109", 2),
+        (109, True), (109, np.int64(2)), (109, 2.0), (109, "2")])
+    def test_p_and_ell_must_be_ints(self, p, ell):
+        name = "p" if type(p) is not int else "ell"
+        with pytest.raises(DomainError, match=f"^{name} must be an int, got "):
+            ssgraph.check_graph_args(p, ell)
+        with pytest.raises(DomainError, match=f"^{name} must be an int"):
+            build_graph(p, ell)
+        if name == "p":
+            with pytest.raises(DomainError, match="^p must be an int"):
+                find_supersingular_seed(p)
+
 
 def _with_table(g, table):
     return dataclasses.replace(g, table=np.asarray(table, dtype=np.int64))
