@@ -35,17 +35,7 @@ p < 2^31.
 import numpy as np
 
 from .arith import DomainError
-from .brandt import TheoremViolation
-from .kernels import _lcg, fp2_mul
-
-
-class InexactDeflation(TheoremViolation):
-    """A known root of batch row ``row`` that is not a root: dividing it
-    out leaves the nonzero ``remainder``."""
-
-    def __init__(self, row, root, remainder):
-        super().__init__(f"known root {root} of row {row} leaves the remainder {remainder}")
-        self.row, self.root, self.remainder = row, root, remainder
+from .kernels import InexactDeflation, _lcg, fp2_mul
 
 
 def _fp_pow(a, e, p):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import DomainError, cached_is_prime, is_prime, kronecker
-from .brandt import trace_formula, vertex_count
+from .brandt import check_trace_degree, trace_formula, vertex_count
 from .classnum import decompose
 
 PROPERTY_KINDS = ("noLoops", "noMultiEdges", "simple", "noCommonEdges")
@@ -89,19 +89,26 @@ def derive_congruences(prop):
     1 on it is defined modulo M', that is, when every conductor in the
     list divides M'.  Their lcm is M, so M' = M.
 
-    A modulus above CONGRUENCE_M_LIMIT is a DomainError, raised before any
-    residue is walked.
+    A property whose trace degree (ell, ell^2 or ell1*ell2) is past
+    ``check_trace_degree``'s limit is a DomainError, raised before any
+    discriminant is decomposed; so is a modulus above CONGRUENCE_M_LIMIT,
+    raised as soon as the lcm passes it and before any residue is walked.
     """
+    l1, l2 = prop.ells[0], prop.ells[-1]
+    # the largest m whose trace holds_by_trace reads: ell, ell^2 or ell1*ell2
+    check_trace_degree(l1 if prop.kind == "noLoops" else l1 * l2)
     discs = discriminant_set(prop)
-    funds = [decompose(-d)[0] for d in discs]
+    funds = []
     modulus = 12 if prop.undirected else 1
-    for df in funds:
-        modulus = math.lcm(modulus, abs(df))
-    if modulus > CONGRUENCE_M_LIMIT:
-        raise DomainError(
-            f"congruence classes need working modulus <= CONGRUENCE_M_LIMIT = "
-            f"{CONGRUENCE_M_LIMIT}, got {modulus}"
-        )
+    for d in discs:
+        funds.append(decompose(-d)[0])
+        modulus = math.lcm(modulus, abs(funds[-1]))
+        if modulus > CONGRUENCE_M_LIMIT:
+            raise DomainError(
+                f"congruence classes need working modulus <= CONGRUENCE_M_LIMIT = "
+                f"{CONGRUENCE_M_LIMIT}; the lcm of the conductors of {prop.kind}"
+                f"(ell={','.join(map(str, prop.ells))}) passes it"
+            )
     residues = []
     for r in range(1, modulus):
         if math.gcd(r, modulus) != 1:

@@ -21,6 +21,17 @@ All moduli fit in 31 bits so every intermediate product stays below 2^63.
 import numpy as np
 
 from .arith import DomainError
+from .brandt import TheoremViolation
+
+
+class InexactDeflation(TheoremViolation):
+    """A known root of batch row ``row`` that is not a root: dividing it
+    out leaves the nonzero ``remainder``."""
+
+    def __init__(self, row, root, remainder):
+        super().__init__(f"known root {root} of row {row} leaves the remainder {remainder}")
+        self.row, self.root, self.remainder = row, root, remainder
+
 
 def _lcg(state):
     # MINSTD; products stay below 2^48 so int64 suffices
@@ -49,13 +60,13 @@ def fp2_poly_roots(coeffs, p, c, seed, known, known_counts):
     is not), is a ``DomainError``.  known[i, :known_counts[i]], from
     ``known`` of shape (N, K, 2), are distinct roots of row i the caller
     already knows, 0 <= known_counts[i] <= K (other shapes or counts are
-    a ``DomainError``).  Each must be a root, or
-    ``batched_roots.InexactDeflation``, a ``TheoremViolation`` naming the
-    row, is raised.  Returns flat (owner, roots, mults): roots[k] is the
-    (c0, c1) pair of a root of row owner[k] and mults[k] its multiplicity,
-    each distinct root once, sorted by owner and then by root in (c1, c0)
-    order.  ``seed`` picks the random shifts of the splitting rounds; no
-    output depends on it, and ``build_graph`` passes 0.
+    a ``DomainError``).  Each must be a root, or ``InexactDeflation``, a
+    ``TheoremViolation`` naming the row, is raised.  Returns flat (owner,
+    roots, mults): roots[k] is the (c0, c1) pair of a root of row owner[k]
+    and mults[k] its multiplicity, each distinct root once, sorted by
+    owner and then by root in (c1, c0) order.  ``seed`` picks the random
+    shifts of the splitting rounds; no output depends on it, and
+    ``build_graph`` passes 0.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % p
     if coeffs.ndim != 3 or coeffs.shape[1] < 2 or coeffs.shape[2] != 2:
@@ -90,12 +101,23 @@ def supersingular_scan(p):
     x, chi = _chi_table(p)
     x3 = x * x % p * x % p
     j1728 = 1728 % p
+    # one buffer each for x^3 + ax + b and its characters, reused for every
+    # j, so no candidate allocates: a * x < p^2, so the sum stays below 2^63
+    # before it is reduced.  The outputs are passed by position, which costs
+    # less per call than the out= keyword at small p.
+    values = np.empty(p, np.int64)
+    signs = np.empty(p, np.int8)
     for j in range(1, p):
         if j == j1728:
             continue
         k = (j1728 - j) % p
         a = 3 * j % p * k % p
         b = 2 * j % p * (k * k % p) % p
-        if int(chi[(x3 + a * x + b) % p].sum()) == 0:
+        np.multiply(x, a, values)
+        np.add(values, x3, values)
+        np.add(values, b, values)
+        np.remainder(values, p, values)
+        chi.take(values, None, signs)
+        if int(signs.sum()) == 0:
             return j
     return -1

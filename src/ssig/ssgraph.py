@@ -226,15 +226,11 @@ def _neighbour_keys(p, c, table, keys, known):
     known_keys = np.zeros((len(keys), known_counts.max(initial=0)), dtype=np.int64)
     for i, ks in enumerate(known):
         known_keys[i, :len(ks)] = ks
-    # not at module level: importing ssig must not compile batched_roots,
-    # as kernels.fp2_poly_roots explains
-    from .batched_roots import InexactDeflation
-
     try:
         owner, roots, mults = kernels.fp2_poly_roots(
             _specialize(p, c, table, keys), p, c, 0,
             np.stack((known_keys % p, known_keys // p), axis=2), known_counts)
-    except InexactDeflation as err:
+    except kernels.InexactDeflation as err:
         root, j, remainder = j_labels(
             [err.root[1] * p + err.root[0], keys[err.row],
              err.remainder[1] * p + err.remainder[0]], p)

@@ -455,6 +455,21 @@ class TestExitContract:
         assert rc in (0, 2), (argv, err)
         assert seconds < 10, argv
 
+    # just below and past the trace limit m <= 10^6, and far past it: the
+    # lcm of the conductors has thousands of digits, and ell^2 discriminants
+    # are too many to decompose
+    @pytest.mark.parametrize("ells", [["--ell", "999983"], ["--ell", "1000003"],
+                                      ["--ell", "100000007"], ["--ell", "1000000007"],
+                                      ["--ell", "999983", "--ell2", "1000003"]])
+    @pytest.mark.parametrize("prop", ["no-loops", "no-multi-edges", "simple",
+                                      "no-common-edges"])
+    @pytest.mark.parametrize("command", [["congruence"], ["find-prime", "--cap", "200"]])
+    def test_large_ells_exit_0_or_2_in_bounded_time(self, command, prop, ells):
+        argv = [*command, "--property", prop, *ells]
+        rc, _, err, seconds = run_timed(argv)
+        assert rc in (0, 2), (argv, err)
+        assert seconds < 10, argv
+
     @pytest.fixture(scope="class")
     def stats_entry(self, tmp_path_factory):
         """(cache dir, path and bytes of its entry for (109, 3), and the

@@ -4,26 +4,29 @@
 
 OLD_SRC and NEW_SRC are ssig checkouts (or their ``src`` directories).
 The round is the item list of the workload's class in
-perfbench/workloads.py at seed 1, read as it is; nothing under
-perfbench/ is changed.  A round gives each tree one turn, the tree that
-goes first alternating from round to round.  A turn imports that tree's
-ssig afresh, so that module caches start cold as in a perfbench round,
+perfbench/workloads.py at seed 1, and each item is made by perfbench/run.py's
+``call``, both read as they are; nothing under perfbench/ is changed.  A
+round gives each tree one turn, the tree that goes first alternating from
+round to round.  A turn imports that tree's ssig afresh (run.py's
+``fresh_ssig``), so that module caches start cold as in a perfbench round,
 and times in process CPU one ``ssig.cli.main`` call per item, with its
 output captured.  Each tree runs the workload's set-up once, off the
 clock, into a cache directory of its own, which its turns share unless
-the workload takes a fresh cache every round (``build_sweep``).  Prints
-every round, then each tree's median, minimum and round wins, then the
-same per kind of item (the first field of its key: ``trace``,
-``verify``, ...), and the number of items whose output (exit code,
-stdout and stderr) differs between the trees in the last round; exits 1
-if any differs, else 0.
+the workload takes a fresh cache every round (``build_sweep``).  Separate
+processes of the same code spread too widely to show a change of a few
+per cent; turns in one process do not.
+
+Prints every round, then each tree's median, minimum and round wins, then
+the same per kind of item (the first field of its key: ``trace``,
+``verify``, ...), then each tree's median per item, by key in the round's
+order (``verify p ell`` for ``build_sweep``), and the number of items whose
+output (exit code, stdout and stderr) differs between the trees in the
+last round; exits 1 if any differs, else 0.
 """
 
 import argparse
-import contextlib
 import gc
 import importlib
-import io
 import shutil
 import statistics
 import sys
@@ -33,46 +36,37 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
-from ab_builds import _take_ssig  # noqa: E402
 from compare_exports import package_dir  # noqa: E402
 
 
-def workloads():
-    """perfbench/workloads.py, read as it is."""
+def perfbench(name):
+    """The module ``name`` of perfbench/, read as it is."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
 
 
+def _take_ssig():
+    """Remove the ssig modules from ``sys.modules`` and return them."""
+    return {name: sys.modules.pop(name) for name in list(sys.modules)
+            if name == "ssig" or name.startswith("ssig.")}
+
+
 def fresh_cli(src):
     """``ssig.cli`` of the tree at ``src``, freshly imported."""
-    _take_ssig()
     sys.path.insert(0, src)
     try:
-        return importlib.import_module("ssig.cli")
+        return perfbench("run").fresh_ssig()
     finally:
         sys.path.remove(src)
-
-
-def call(cli, argv):
-    """(exit code, stdout, stderr) of one captured ``main(argv)`` call, as
-    perfbench makes it: an exception escaping ``main`` is exit code None."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = cli.main(argv)
-        except Exception as exc:
-            rc = None
-            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-    return rc, out.getvalue(), err.getvalue()
 
 
 def turn(src, workload, cache):
     """({item index: CPU seconds}, {item index: ``call`` result}) of one
     round of ``workload`` in the tree at ``src``."""
-    token = workloads().CACHE
+    token, call = perfbench("workloads").CACHE, perfbench("run").call
     cli = fresh_cli(src)
     gc.collect()
     times, outputs = {}, {}
@@ -91,6 +85,7 @@ def ab_rounds(old, new, workload, rounds):
     are left as they were."""
     own = _take_ssig()
     work = Path(tempfile.mkdtemp(prefix="ab_rounds-"))
+    call = perfbench("run").call
     try:
         srcs = {"old": str(package_dir(old)), "new": str(package_dir(new))}
         caches = {}
@@ -130,18 +125,26 @@ def summary(label, totals):
     return lines
 
 
+def item_label(key):
+    """An item's key as one field per part: ("find-prime", "simple", (2, 3),
+    True) is ``find-prime simple 2,3 True``."""
+    return " ".join(",".join(map(str, part)) if isinstance(part, tuple) else str(part)
+                    for part in key)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src")
     parser.add_argument("new_src")
-    parser.add_argument("--workload", required=True, choices=sorted(workloads().WORKLOADS))
+    parser.add_argument("--workload", required=True,
+                        choices=sorted(perfbench("workloads").WORKLOADS))
     parser.add_argument("--rounds", type=int, default=10,
                         help="rounds of one turn per tree (default 10)")
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
-    workload = workloads().WORKLOADS[args.workload](1)
+    workload = perfbench("workloads").WORKLOADS[args.workload](1)
     results, differ = ab_rounds(args.old_src, args.new_src, workload, args.rounds)
     kinds = sorted({key[0] for key, _ in workload.items})
     totals = {kind: [] for kind in ["round", *kinds]}
@@ -156,6 +159,13 @@ def main(argv=None):
     print("kind        tree  median_ms    min_ms  wins")
     for kind, rows in totals.items():
         print("\n".join(summary(kind, rows)))
+    labels = [item_label(key) for key, _ in workload.items]
+    width = max(len("item"), *map(len, labels))
+    print(f"{'item':{width}}  old_median_ms  new_median_ms")
+    for index, label in enumerate(labels):
+        old, new = (statistics.median(times[side][index] for _, times in results) * 1e3
+                    for side in ("old", "new"))
+        print(f"{label:{width}}  {old:13.2f}  {new:13.2f}")
     print(f"{len(workload.items)} items a round, {differ} with output that differs")
     return 1 if differ else 0
 
